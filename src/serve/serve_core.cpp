@@ -11,6 +11,7 @@
 #include "concurrent/concurrent_topk.h"
 #include "ingest/byte_source.h"
 #include "serve/net.h"
+#include "shard/sharded_topk.h"
 #include "window/windowed_topk.h"
 
 namespace hk {
@@ -84,6 +85,17 @@ bool OpenSource(PcapReader& reader, const SourceBinding& binding, std::string* e
     return false;
   }
   return true;
+}
+
+// True when Snapshot(kRelaxed) may run on a query thread while the ingest
+// thread inserts, so TOPK ... relaxed can skip the instance lock: the
+// shared-slab front-end and the threaded sharded one.
+bool RelaxedCapable(const TopKAlgorithm* algo) {
+  if (dynamic_cast<const ConcurrentTopK*>(algo) != nullptr) {
+    return true;
+  }
+  const auto* sharded = dynamic_cast<const ShardedTopK*>(algo);
+  return sharded != nullptr && sharded->threaded();
 }
 
 // A binding whose source can be replayed from the start after a restart
@@ -202,7 +214,7 @@ bool ServeCore::Create(const std::string& name, const std::string& spec, std::st
   inst->name = name;
   inst->spec = spec;
   inst->defaults = options_.defaults;
-  inst->relaxed_capable = dynamic_cast<ConcurrentTopK*>(algo.get()) != nullptr;
+  inst->relaxed_capable = RelaxedCapable(algo.get());
   inst->algo = std::move(algo);
   instances_.emplace(name, std::move(inst));
   return true;
@@ -446,7 +458,7 @@ bool ServeCore::Recover(size_t* recovered, std::string* err) {
     inst->name = entry.name;
     inst->spec = entry.spec;
     inst->defaults = defaults;
-    inst->relaxed_capable = dynamic_cast<ConcurrentTopK*>(algo.get()) != nullptr;
+    inst->relaxed_capable = RelaxedCapable(algo.get());
     inst->algo = std::move(algo);
     inst->packets_applied = entry.packets_applied;
     Instance* raw = inst.get();
@@ -608,8 +620,8 @@ std::string ServeCore::CmdTopK(const std::vector<std::string>& args) {
                       " epoch_packets=" + std::to_string(window->epoch_packets()) +
                       " completed_epochs=" + std::to_string(window->completed_epochs());
     } else if (relaxed && inst->relaxed_capable) {
-      // The whole point of kRelaxed: answer from the live shared slab
-      // without taking the ingest lock - writers never stall.
+      // The whole point of kRelaxed: answer without taking the ingest
+      // lock - writers never stall.
       result = inst->algo->Snapshot(query);
     } else {
       std::lock_guard<std::mutex> inst_lock(inst->mu);

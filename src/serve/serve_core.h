@@ -41,11 +41,13 @@
 //
 // Concurrency: every instance carries its own mutex serializing its
 // ingest thread against queries and checkpoints. A TOPK ... relaxed on a
-// Concurrent-front-end instance bypasses the lock entirely and snapshots
-// the live shared slab (Snapshot(kRelaxed)) - the query answers while the
-// ingest thread keeps inserting, which is the PR 6 API's reason to exist.
-// For every other algorithm "relaxed" degrades to a (brief) lock + exact
-// snapshot, and the response says which consistency was delivered.
+// Concurrent front-end or a threaded Sharded one bypasses the lock
+// entirely (Snapshot(kRelaxed)): Concurrent reads the live shared slab,
+// Sharded merges the reports its workers post at their next burst
+// boundary. Either way the query answers while the ingest thread keeps
+// inserting. For every other algorithm "relaxed" degrades to a (brief)
+// lock + exact snapshot, and the response says which consistency was
+// delivered.
 //
 // Crash recovery: WriteCheckpoint() locks instances one at a time,
 // Flush()es, SaveState()s, and records the applied-packet offset under
@@ -127,7 +129,7 @@ class ServeCore {
     std::string spec;
     SketchDefaults defaults;
     std::unique_ptr<TopKAlgorithm> algo;
-    bool relaxed_capable = false;  // Concurrent front-end: lock-free kRelaxed
+    bool relaxed_capable = false;  // lock-free kRelaxed (see RelaxedCapable)
 
     // Everything below mu: the algorithm plus the applied-offset pair.
     mutable std::mutex mu;

@@ -145,7 +145,18 @@ void ShardedTopK::WorkerLoop(size_t shard_index) {
   std::vector<FlowId> ids(options_.drain_burst);
   std::vector<uint64_t> weights(options_.drain_burst);
   size_t spins = 0;
+  uint32_t served = 0;
   for (;;) {
+    // A pending relaxed snapshot is answered here, between bursts, so the
+    // querier never waits for the ring to drain.
+    const uint32_t request = shard.request_seq.load(std::memory_order_acquire);
+    if (request != served) {
+      shard.report = shard.algo->TopK(shard.request_k);
+      shard.report_memory_bytes = shard.algo->MemoryBytes();
+      shard.report_seq.store(request, std::memory_order_release);
+      shard.report_seq.notify_one();  // no syscall unless the querier sleeps
+      served = request;
+    }
     size_t n = 0;
     bool unit_weights = true;
     Packet packet;
@@ -263,25 +274,57 @@ void ShardedTopK::InsertBatch(std::span<const FlowId> ids, std::span<const uint6
 }
 
 QueryResult ShardedTopK::Snapshot(const QueryOptions& options) {
-  Flush();
+  const bool relaxed = options_.threaded && options.consistency == ConsistencyLevel::kRelaxed;
   std::vector<std::vector<FlowCount>> per_shard;
   per_shard.reserve(shards_.size());
+  size_t memory_bytes = 0;
+  if (relaxed) {
+    memory_bytes = CollectRelaxedReports(options.k, &per_shard);
+  } else {
+    Flush();
+    for (const auto& shard : shards_) {
+      per_shard.push_back(shard->algo->TopK(options.k));
+    }
+    memory_bytes = MemoryBytes();
+  }
   // Sum of the shards' reports, not the merged size: the union truncates
   // to k but each shard tracks its own candidates.
   size_t tracked = 0;
-  for (const auto& shard : shards_) {
-    per_shard.push_back(shard->algo->TopK(options.k));
-    tracked += per_shard.back().size();
+  for (const auto& report : per_shard) {
+    tracked += report.size();
   }
   QueryResult result;
   result.flows = MergeTopK(per_shard, options.k);
-  result.consistency = ConsistencyLevel::kExact;
+  result.consistency = relaxed ? ConsistencyLevel::kRelaxed : ConsistencyLevel::kExact;
   result.stats.tracked_flows = tracked;
   result.stats.min_tracked = result.flows.empty() ? 0 : result.flows.back().count;
   result.stats.worker_threads = WorkerThreads();
-  result.stats.memory_bytes = MemoryBytes();
-  result.stats.simd_kernel = ActiveSimdKernel();
+  result.stats.memory_bytes = memory_bytes;
+  result.stats.simd_kernel = ActiveSimdKernel();  // resolved at construction: no drain
   return result;
+}
+
+size_t ShardedTopK::CollectRelaxedReports(size_t k,
+                                          std::vector<std::vector<FlowCount>>* per_shard) {
+  // No WaitIdle, MemoryBytes(), name() or TopK() on this path: each of
+  // those drains the rings. Every figure comes from the workers' reports.
+  std::lock_guard<std::mutex> lock(relaxed_mu_);
+  const uint32_t seq = ++relaxed_seq_;
+  for (const auto& shard : shards_) {
+    shard->request_k = k;
+    shard->request_seq.store(seq, std::memory_order_release);
+  }
+  size_t memory_bytes = 0;
+  for (const auto& shard : shards_) {
+    // Sleep on the slot until the worker answers: one burst, or one idle
+    // backoff sleep, per shard.
+    for (uint32_t seen; (seen = shard->report_seq.load(std::memory_order_acquire)) != seq;) {
+      shard->report_seq.wait(seen, std::memory_order_acquire);
+    }
+    memory_bytes += shard->report_memory_bytes;
+    per_shard->push_back(std::move(shard->report));
+  }
+  return memory_bytes;
 }
 
 const char* ShardedTopK::ActiveSimdKernel() const {

@@ -33,17 +33,32 @@
 // destruction drains outstanding packets before joining the workers, so a
 // shutdown mid-burst loses nothing.
 //
+// Relaxed snapshots (threaded mode): Snapshot(kRelaxed) does not drain.
+// The querier posts a request to every shard; each worker answers at its
+// next burst boundary with its inner's TopK(k) and MemoryBytes(), and the
+// querier merges those reports. The wait is bounded by one drain burst or
+// one idle backoff sleep per shard, however deep the rings are. Each
+// shard's report reflects a prefix of that shard's stream; different
+// shards may reflect different prefixes. When nobody asks, the workers
+// pay one acquire load per burst.
+//
 // Thread model (threaded mode): the insert API and Flush()/TopK()/
-// EstimateSize() must be called from one thread at a time (the producer);
-// the N workers are internal. Cross-thread visibility is established by
-// the per-shard queued counters (release on the worker's drain, acquire in
-// WaitIdle), so post-Flush() queries read fully published sketch state.
+// EstimateSize()/Snapshot(kExact) must be called from one thread at a time
+// (the producer); the N workers are internal. Cross-thread visibility is
+// established by the per-shard queued counters (release on the worker's
+// drain, acquire in WaitIdle), so post-Flush() queries read fully
+// published sketch state. Snapshot(kRelaxed) may be called from any thread
+// while the producer keeps inserting or querying; relaxed callers are
+// serialized among themselves. It must not overlap LoadState() or
+// destruction. The worker's TopK()/MemoryBytes() on its inner may run
+// alongside the producer's own const queries, so those must not write.
 #ifndef HK_SHARD_SHARDED_TOPK_H_
 #define HK_SHARD_SHARDED_TOPK_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -104,11 +119,12 @@ class ShardedTopK : public TopKAlgorithm {
   // synchronous mode).
   void Flush() override;
 
-  // Always delivers kExact, whatever is requested: shards share no state,
-  // so the only way to read them is to drain the rings first - there is no
-  // cheaper relaxed view to offer. stats.min_tracked is the merged report's
-  // smallest estimate (the global admission threshold is per-shard, so no
-  // single nmin exists).
+  // kExact (and every request in synchronous mode) drains the rings, then
+  // reads the shards. kRelaxed in threaded mode never drains: the workers
+  // answer at their next burst boundary (see the header comment), and the
+  // stats come from the figures they publish. stats.min_tracked is the
+  // merged report's smallest estimate (the global admission threshold is
+  // per-shard, so no single nmin exists).
   QueryResult Snapshot(const QueryOptions& options = {}) override;
 
   std::vector<FlowCount> TopK(size_t k) const override;
@@ -152,9 +168,20 @@ class ShardedTopK : public TopKAlgorithm {
     std::vector<uint64_t> run_weights;
     // Packets enqueued but not yet applied by the worker. The worker's
     // release-decrement after mutating `algo` pairs with acquire loads in
-    // WaitIdle() to publish sketch state to the querying thread. Last
-    // member + alignas: the counter owns its line alone.
+    // WaitIdle() to publish sketch state to the querying thread.
+    // alignas: the counter owns its line alone.
     alignas(64) std::atomic<uint64_t> queued{0};
+
+    // Relaxed-snapshot handshake (threaded mode). The querier writes
+    // request_k, then release-stores request_seq; the worker reads
+    // request_k, fills the report fields, then release-stores report_seq =
+    // request_seq, after which the querier reads them. relaxed_mu_ keeps
+    // one request in flight, so the plain fields never race.
+    alignas(64) std::atomic<uint32_t> request_seq{0};
+    size_t request_k = 0;
+    std::vector<FlowCount> report;
+    size_t report_memory_bytes = 0;
+    std::atomic<uint32_t> report_seq{0};  // 32-bit: waited on as a futex
   };
 
   void Enqueue(FlowId id, uint64_t weight);
@@ -164,6 +191,10 @@ class ShardedTopK : public TopKAlgorithm {
   void PushRun(Shard& shard, std::span<const FlowId> ids, const uint64_t* weights);
   void WorkerLoop(size_t shard_index);
   void WaitIdle() const;
+  // Threaded kRelaxed: post (k, seq) to every shard, wait for each
+  // worker's report, append the reports to `per_shard` in shard order and
+  // return the summed MemoryBytes() the workers published.
+  size_t CollectRelaxedReports(size_t k, std::vector<std::vector<FlowCount>>* per_shard);
   // Shared constructor tail: wrap `inners` into shards, then spin up the
   // rings and workers when threaded.
   void InitShards(std::vector<std::unique_ptr<TopKAlgorithm>> inners);
@@ -176,6 +207,9 @@ class ShardedTopK : public TopKAlgorithm {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};
+  // Serializes relaxed queriers; guards relaxed_seq_.
+  std::mutex relaxed_mu_;
+  uint32_t relaxed_seq_ = 0;  // wraps harmlessly: the slots compare for equality
 };
 
 }  // namespace hk

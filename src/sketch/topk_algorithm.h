@@ -55,13 +55,20 @@ namespace hk {
 //   kExact   - the report reflects every packet accepted before the call,
 //              as if the stream were quiesced: Flush() semantics, then a
 //              stable read. Synchronous algorithms always deliver this.
-//   kRelaxed - the report was taken while inserts may still be in flight
-//              (concurrent/ shared-slab mode). Guarantees: every value read
-//              is a whole word (per-word-atomic loads - no torn counters),
-//              every reported estimate is a monotone lower bound of some
-//              state the flow's counter passed through, and no flow appears
-//              twice. No cross-flow ordering: two flows' counts may reflect
-//              different prefixes of the stream.
+//   kRelaxed - the report was taken while inserts may still be in flight.
+//              Two front-ends deliver it:
+//                * concurrent/ shared-slab mode reads the live slab: every
+//                  value read is a whole word (per-word-atomic loads - no
+//                  torn counters) and every reported estimate is a
+//                  monotone lower bound of some state the flow's counter
+//                  passed through;
+//                * threaded shard/ mode asks each worker for its shard's
+//                  report at the worker's next burst boundary: each
+//                  shard's part is an exact read of a prefix of that
+//                  shard's stream, and queued packets are not waited for.
+//              Both: no flow appears twice, and there is no cross-flow
+//              ordering - two flows' counts may reflect different prefixes
+//              of the stream.
 enum class ConsistencyLevel { kExact, kRelaxed };
 
 // What to ask of Snapshot().
@@ -133,8 +140,9 @@ class TopKAlgorithm {
   //     drains its rings, then issues a seq_cst fence so every slab and
   //     candidate-store word written by the workers is published.
   //
-  // After Flush() returns (and absent further inserts), Snapshot() always
-  // delivers ConsistencyLevel::kExact, whatever was requested. Quiesced
+  // After Flush() returns (and absent further inserts), Snapshot() returns
+  // the kExact flows whatever was requested; a threaded front-end still
+  // labels a kRelaxed request kRelaxed, since it did not check. Quiesced
   // queries (TopK/EstimateSize) behave as if Flush() ran first, so calling
   // it explicitly is only needed to bound *when* the work happens (e.g.
   // inside a timed region) or to upgrade a later Snapshot to kExact.

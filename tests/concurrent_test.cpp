@@ -176,20 +176,6 @@ TEST(SnapshotContractTest, DefaultSnapshotWrapsFlushedTopK) {
   }
 }
 
-TEST(SnapshotContractTest, ShardedSnapshotIsAlwaysExact) {
-  auto algo = MakeSketch("Sharded:n=4,threads=1,inner=HK-Minimum", TestDefaults());
-  algo->InsertBatch(ZipfPackets(50'000, 13));
-  // Even asking for kRelaxed delivers kExact: there is no cheaper view of
-  // disjoint shards than draining them.
-  const QueryResult relaxed = algo->Snapshot({.k = 30, .consistency = ConsistencyLevel::kRelaxed});
-  EXPECT_EQ(relaxed.consistency, ConsistencyLevel::kExact);
-  EXPECT_EQ(relaxed.flows, algo->TopK(30));
-  EXPECT_EQ(relaxed.stats.worker_threads, 4u);
-  // Each of the 4 shards tracks its own candidates, so the union exceeds
-  // any single report.
-  EXPECT_GE(relaxed.stats.tracked_flows, relaxed.flows.size());
-}
-
 TEST(SnapshotContractTest, ConcurrentExactSnapshotMatchesQuiescedTopK) {
   auto algo = MakeSketch("Concurrent:threads=2,inner=HK-Minimum", TestDefaults());
   algo->InsertBatch(ZipfPackets(80'000, 19));

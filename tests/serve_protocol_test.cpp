@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,7 +48,10 @@ struct Fixture {
 const Fixture& CampusCapture() {
   static const Fixture* fixture = [] {
     auto* f = new Fixture;
-    f->path = TempPath("serve_protocol_campus.pcap");
+    // Per process: ctest -j runs each test in its own process, and a
+    // shared path would let one process rewrite the file another reads.
+    f->path = TempPath("serve_protocol_campus." + std::to_string(getpid()) + ".pcap");
+    std::atexit([] { std::remove(CampusCapture().path.c_str()); });
     f->trace = SynthesizeCapture(CampusConfig(5000, 11), f->path, CaptureSynthOptions{});
     f->oracle.AddTrace(f->trace);
     return f;
@@ -164,21 +168,24 @@ TEST(ServeProtocol, AttachErrors) {
   core.DrainIngest();
 }
 
-TEST(ServeProtocol, RelaxedTopKOnConcurrentInstance) {
+// TOPK ... relaxed on a front-end that answers without the instance lock:
+// mid-ingest it says relaxed, and after DrainIngest the exact answer
+// agrees with the oracle's top flow.
+void ExpectRelaxedMidIngestThenExact(const std::string& spec) {
   const Fixture& fx = CampusCapture();
   ServeOptions options = SmallOptions();
   options.defaults.memory_bytes = 64 * 1024;
   ServeCore core(options);
-  ASSERT_EQ(core.Execute("CREATE edge Concurrent:inner=HK-Basic"), "OK created edge\n");
+  ASSERT_EQ(core.Execute("CREATE edge " + spec), "OK created edge\n");
   ASSERT_EQ(core.Execute("ATTACH edge " + fx.path), "OK attached edge\n");
   // Relaxed queries answer while ingest may still be running - and say so.
   const auto mid = Lines(core.Execute("TOPK edge 5 relaxed"));
   ASSERT_FALSE(mid.empty());
   EXPECT_EQ(mid.back().rfind("END consistency=relaxed", 0), 0u) << mid.back();
   core.DrainIngest();
-  // Exact after drain agrees with the oracle's top flow.
   const auto lines = Lines(core.Execute("TOPK edge 5 exact"));
   ASSERT_EQ(lines.size(), 6u);
+  EXPECT_EQ(lines.back().rfind("END consistency=exact", 0), 0u) << lines.back();
   const auto truth = fx.oracle.TopK(1);
   char expect[64];
   std::snprintf(expect, sizeof(expect), "FLOW %llx",
@@ -188,6 +195,16 @@ TEST(ServeProtocol, RelaxedTopKOnConcurrentInstance) {
     EXPECT_GE(telemetry::Registry::Get().SumCounter("hk_serve_relaxed_queries_total"), 1u);
     EXPECT_GE(telemetry::Registry::Get().SumCounter("hk_serve_exact_queries_total"), 1u);
   }
+}
+
+TEST(ServeProtocol, RelaxedTopKOnConcurrentInstance) {
+  ExpectRelaxedMidIngestThenExact("Concurrent:inner=HK-Basic");
+}
+
+// The shard workers answer between bursts, without the instance lock and
+// without draining their rings.
+TEST(ServeProtocol, RelaxedTopKOnShardedInstance) {
+  ExpectRelaxedMidIngestThenExact("Sharded:n=2,threads=1,inner=HK-Basic");
 }
 
 TEST(ServeProtocol, RelaxedDegradesToExactOnSynchronousSketch) {

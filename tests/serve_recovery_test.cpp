@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <span>
@@ -65,7 +66,10 @@ struct Fixture {
 const Fixture& Capture() {
   static const Fixture* fixture = [] {
     auto* f = new Fixture;
-    f->path = TempPath("serve_recovery.pcap");
+    // Per process: ctest -j runs each test in its own process, and a
+    // shared path would let one process rewrite the file another reads.
+    f->path = TempPath("serve_recovery." + std::to_string(getpid()) + ".pcap");
+    std::atexit([] { std::remove(Capture().path.c_str()); });
     f->trace = SynthesizeCapture(CampusConfig(120000, 9), f->path, CaptureSynthOptions{});
     f->oracle.AddTrace(f->trace);
     return f;

@@ -2,14 +2,20 @@
 // partition stability, merge semantics, producer/consumer stress with
 // random burst sizes, shutdown while rings are still draining, and the
 // determinism contract - same seed and shard count means bit-identical
-// results across execution modes, burst shapes, and runs (the TSan CI job
-// runs this suite with full race detection).
+// results across execution modes, burst shapes, and runs - and relaxed
+// snapshots taken while the producer inserts (the TSan CI job runs this
+// suite with full race detection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -309,6 +315,167 @@ TEST(ShardedStressTest, FlushFromProducerMakesAllInsertsVisible) {
   }
   algo->Flush();
   EXPECT_EQ(algo->EstimateSize(42), 5'000u);
+}
+
+// --- relaxed snapshots (threaded mode) -------------------------------------
+
+// True when `flows` is a well-formed report: at most k entries, ordered by
+// (estimate desc, id asc), no flow twice.
+bool WellFormed(const std::vector<FlowCount>& flows, size_t k) {
+  std::set<FlowId> distinct;
+  for (size_t i = 0; i < flows.size(); ++i) {
+    if (!distinct.insert(flows[i].id).second) {
+      return false;
+    }
+    if (i > 0 && (flows[i].count > flows[i - 1].count ||
+                  (flows[i].count == flows[i - 1].count && flows[i].id < flows[i - 1].id))) {
+      return false;
+    }
+  }
+  return flows.size() <= k;
+}
+
+TEST(ShardRelaxedSnapshotTest, ThreadedRelaxedIsLabelledRelaxed) {
+  auto algo = MakeSketch("Sharded:n=4,threads=1,inner=HK-Minimum", TestDefaults());
+  algo->InsertBatch(ZipfPackets(50'000, 13));
+  const QueryResult relaxed = algo->Snapshot({.k = 30, .consistency = ConsistencyLevel::kRelaxed});
+  EXPECT_EQ(relaxed.consistency, ConsistencyLevel::kRelaxed);
+  EXPECT_TRUE(WellFormed(relaxed.flows, 30));
+  EXPECT_EQ(relaxed.stats.worker_threads, 4u);
+  // Each of the 4 shards tracks its own candidates, so the union exceeds
+  // any single report.
+  EXPECT_GE(relaxed.stats.tracked_flows, relaxed.flows.size());
+  // A kExact request on the same instance still drains and says so.
+  EXPECT_EQ(algo->Snapshot({.k = 30}).consistency, ConsistencyLevel::kExact);
+}
+
+TEST(ShardRelaxedSnapshotTest, RelaxedAfterFlushEqualsExact) {
+  auto algo = MakeSketch("Sharded:n=4,threads=1,inner=HK-Minimum", TestDefaults());
+  algo->InsertBatch(ZipfPackets(50'000, 17));
+  algo->Flush();
+  // Quiesced: every worker's report covers its whole stream, so only the
+  // label differs from the exact read.
+  const QueryResult relaxed = algo->Snapshot({.k = 30, .consistency = ConsistencyLevel::kRelaxed});
+  const QueryResult exact = algo->Snapshot({.k = 30});
+  EXPECT_EQ(relaxed.consistency, ConsistencyLevel::kRelaxed);
+  EXPECT_EQ(exact.consistency, ConsistencyLevel::kExact);
+  EXPECT_EQ(relaxed.flows, exact.flows);
+  EXPECT_EQ(relaxed.flows, algo->TopK(30));
+  EXPECT_EQ(relaxed.stats.tracked_flows, exact.stats.tracked_flows);
+  EXPECT_EQ(relaxed.stats.min_tracked, exact.stats.min_tracked);
+  EXPECT_EQ(relaxed.stats.memory_bytes, algo->MemoryBytes());
+  EXPECT_STREQ(relaxed.stats.simd_kernel, exact.stats.simd_kernel);
+}
+
+TEST(ShardRelaxedSnapshotTest, SynchronousModeStaysExact) {
+  auto algo = MakeSketch("Sharded:n=4,inner=HK-Minimum", TestDefaults());
+  algo->InsertBatch(ZipfPackets(50'000, 19));
+  const QueryResult result = algo->Snapshot({.k = 30, .consistency = ConsistencyLevel::kRelaxed});
+  EXPECT_EQ(result.consistency, ConsistencyLevel::kExact);
+  EXPECT_EQ(result.flows, algo->TopK(30));
+  EXPECT_EQ(result.stats.worker_threads, 0u);
+}
+
+TEST(ShardRelaxedSnapshotTest, SnapshotDuringInsertionNeverExceedsTruth) {
+  // Collision-free fingerprints (fp=32) + cb=32 make Theorem 2 checkable
+  // mid-stream: each shard's report is an exact read of a prefix of that
+  // shard's stream, so every estimate is at most the flow's final count.
+  constexpr size_t kK = 50;
+  constexpr size_t kChunk = 1'000;
+  const std::vector<FlowId> packets = ZipfPackets(150'000, 21);
+  Oracle oracle;
+  for (const FlowId id : packets) {
+    oracle.Add(id);
+  }
+  auto algo = MakeSketch("Sharded:n=4,threads=1,ring=512,inner=HK-Minimum:fp=32,cb=32",
+                         TestDefaults());
+
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    for (size_t off = 0; off < packets.size(); off += kChunk) {
+      const size_t n = std::min(kChunk, packets.size() - off);
+      algo->InsertBatch(std::span<const FlowId>(packets.data() + off, n));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  size_t snapshots = 0;
+  while (!done.load(std::memory_order_acquire)) {
+    const QueryResult result =
+        algo->Snapshot({.k = kK, .consistency = ConsistencyLevel::kRelaxed});
+    ++snapshots;
+    EXPECT_EQ(result.consistency, ConsistencyLevel::kRelaxed);
+    EXPECT_TRUE(WellFormed(result.flows, kK));
+    for (const FlowCount& fc : result.flows) {
+      EXPECT_LE(fc.count, oracle.Count(fc.id)) << "flow " << fc.id << " above truth mid-stream";
+    }
+  }
+  producer.join();
+  algo->Flush();
+  EXPECT_GT(snapshots, 0u);
+
+  const QueryResult exact = algo->Snapshot({.k = kK});
+  for (const FlowCount& fc : exact.flows) {
+    EXPECT_LE(fc.count, oracle.Count(fc.id)) << fc.id;
+  }
+  EXPECT_EQ(algo->Snapshot({.k = kK, .consistency = ConsistencyLevel::kRelaxed}).flows,
+            exact.flows);
+}
+
+// Exact per-flow counts, applied slowly: each InsertBatch sleeps first, so
+// a ring stays backed up long enough to observe a snapshot that did not
+// wait for it.
+class SlowExactAlgorithm : public TopKAlgorithm {
+ public:
+  void Insert(FlowId id) override { ++counts_[id]; }
+  void InsertBatch(std::span<const FlowId> ids) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (const FlowId id : ids) {
+      Insert(id);
+    }
+  }
+  std::vector<FlowCount> TopK(size_t k) const override {
+    std::vector<FlowCount> all;
+    for (const auto& [id, count] : counts_) {
+      all.push_back({id, count});
+    }
+    return MergeTopK({all}, k);
+  }
+  uint64_t EstimateSize(FlowId id) const override {
+    const auto it = counts_.find(id);
+    return it == counts_.end() ? 0 : it->second;
+  }
+  std::string name() const override { return "slow-exact-test-double"; }
+  size_t MemoryBytes() const override { return sizeof(*this); }
+
+ private:
+  std::map<FlowId, uint64_t> counts_;  // touched only by the shard's worker
+};
+
+TEST(ShardRelaxedSnapshotTest, RelaxedDoesNotWaitForTheDrain) {
+  // One heavy flow, 4096 packets, 16-packet bursts at >= 1 ms each: the
+  // worker needs >= 256 ms to drain. A relaxed snapshot taken right after
+  // the enqueue answers at the worker's next burst boundary, so it sees
+  // only a prefix; an exact one would have waited for all of it.
+  constexpr uint64_t kPackets = 4'096;
+  constexpr FlowId kHeavy = 7;
+  ShardedTopKOptions options;
+  options.threaded = true;
+  options.ring_capacity = 2 * kPackets;  // the producer never blocks
+  options.drain_burst = 16;
+  std::vector<std::unique_ptr<TopKAlgorithm>> inners;
+  inners.push_back(std::make_unique<SlowExactAlgorithm>());
+  ShardedTopK algo(options, std::move(inners));
+  algo.InsertBatch(std::vector<FlowId>(kPackets, kHeavy));
+
+  const QueryResult relaxed = algo.Snapshot({.k = 1, .consistency = ConsistencyLevel::kRelaxed});
+  EXPECT_EQ(relaxed.consistency, ConsistencyLevel::kRelaxed);
+  const uint64_t mid = relaxed.flows.empty() ? 0 : relaxed.flows[0].count;
+  EXPECT_LT(mid, kPackets) << "the relaxed snapshot waited for the ring to drain";
+
+  algo.Flush();
+  const QueryResult after = algo.Snapshot({.k = 1, .consistency = ConsistencyLevel::kRelaxed});
+  ASSERT_EQ(after.flows.size(), 1u);
+  EXPECT_EQ(after.flows[0], (FlowCount{kHeavy, kPackets}));
 }
 
 }  // namespace
