@@ -40,6 +40,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/decay.h"
@@ -115,10 +116,8 @@ class ConcurrentHeavyKeeper {
   // caller must have stopped every inserter and issued its publish fence;
   // under that guarantee a plain byte copy of the slab is safe - the same
   // reasoning that lets quiesced queries read whole words non-atomically.
-  std::vector<uint8_t> DumpSlab() const {
-    return std::vector<uint8_t>(slab_.data(), slab_.data() + slab_.size());
-  }
-  bool LoadSlab(const std::vector<uint8_t>& bytes) {
+  std::span<const uint8_t> SlabImage() const { return {slab_.data(), slab_.size()}; }
+  bool LoadSlab(std::span<const uint8_t> bytes) {
     if (bytes.size() != slab_.size()) {
       return false;
     }

@@ -347,7 +347,7 @@ bool ConcurrentTopK::SaveState(std::vector<uint8_t>* out) const {
   // only in the fence sense, same const_cast rationale as the WaitIdle
   // calls in the other const query paths.
   const_cast<ConcurrentTopK*>(this)->Flush();
-  ByteAppendBlob(*out, sketch_.DumpSlab());
+  ByteAppendBlob(*out, sketch_.SlabImage());
   ByteAppend(*out, sketch_.stuck_events());
   ByteAppend(*out, sketch_.dropped_units());
   const std::vector<FlowCount> entries = store_.Entries();
@@ -362,11 +362,11 @@ bool ConcurrentTopK::SaveState(std::vector<uint8_t>* out) const {
 bool ConcurrentTopK::LoadState(const uint8_t* data, size_t size) {
   Flush();
   ByteReader reader(data, size);
-  std::vector<uint8_t> slab;
+  std::span<const uint8_t> slab;
   uint64_t stuck = 0;
   uint64_t dropped = 0;
   uint64_t n = 0;
-  if (!reader.ReadBlob(&slab) || !reader.Read(&stuck) || !reader.Read(&dropped) ||
+  if (!reader.BorrowBlob(&slab) || !reader.Read(&stuck) || !reader.Read(&dropped) ||
       !reader.Read(&n) || n > k_) {
     return false;
   }

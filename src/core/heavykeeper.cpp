@@ -1,6 +1,7 @@
 #include "core/heavykeeper.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "simd/hk_kernels.h"
 
@@ -86,31 +87,21 @@ void HeavyKeeper::PrepareBatch(const FlowId* ids, size_t n, Prepared* out) const
   }
 }
 
-HeavyKeeper HeavyKeeper::Restore(const HeavyKeeperConfig& config,
-                                 std::vector<std::vector<Bucket>> arrays,
-                                 uint64_t stuck_events, uint64_t expansions) {
+std::optional<HeavyKeeper> HeavyKeeper::Restore(const HeavyKeeperConfig& config,
+                                                std::span<const uint8_t> image,
+                                                uint64_t stuck_events, uint64_t expansions) {
   HeavyKeeper sketch(config);
   // Replay the expansion seed chain so added arrays hash identically.
   for (uint64_t e = 0; e < expansions; ++e) {
     sketch.hashes_.Add(sketch.next_array_seed_);
     sketch.next_array_seed_ = Mix64(sketch.next_array_seed_ + 1);
   }
-  sketch.rows_ = arrays.size();
-  sketch.slab_.Resize(sketch.rows_ * sketch.config_.w * sketch.word_bytes_);
-  const uint32_t cb = sketch.counter_bits_eff_;
-  for (size_t j = 0; j < arrays.size(); ++j) {
-    for (size_t i = 0; i < arrays[j].size() && i < sketch.config_.w; ++i) {
-      const Bucket& bucket = arrays[j][i];
-      const size_t at = j * sketch.config_.w + i;
-      const uint64_t c = std::min<uint64_t>(bucket.c, sketch.counter_max_);
-      if (sketch.wide()) {
-        sketch.Words<uint64_t>()[at] = (static_cast<uint64_t>(bucket.fp) << cb) | c;
-      } else {
-        sketch.Words<uint32_t>()[at] =
-            (static_cast<uint32_t>(bucket.fp) << cb) | static_cast<uint32_t>(c);
-      }
-    }
+  sketch.rows_ = sketch.config_.d + expansions;
+  if (image.size() != sketch.rows_ * sketch.config_.w * sketch.word_bytes_) {
+    return std::nullopt;
   }
+  sketch.slab_.Resize(image.size());
+  std::memcpy(sketch.slab_.data(), image.data(), image.size());
   sketch.stuck_events_ = stuck_events;
   sketch.expansions_ = expansions;
   sketch.RefreshPrepareParams();

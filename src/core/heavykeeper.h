@@ -46,6 +46,8 @@
 #define HK_CORE_HEAVYKEEPER_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/decay.h"
@@ -263,6 +265,11 @@ class HeavyKeeper {
   // unpacked from the slab words.
   std::vector<std::vector<Bucket>> DebugDump() const;
 
+  // The slab as bytes: num_arrays() rows of w packed words, row after row,
+  // BucketBytes() each. This is the serialization v2 payload verbatim, so
+  // the codec copies it whole (core/serialization.h).
+  std::span<const uint8_t> SlabImage() const { return {slab_.data(), MemoryBytes()}; }
+
   // The bucket index flow `id` maps to in array j (for tests constructing
   // collisions deliberately).
   uint64_t BucketIndex(size_t j, FlowId id) const { return hashes_.Index(j, id, config_.w); }
@@ -270,12 +277,13 @@ class HeavyKeeper {
   // The fingerprint the sketch derives for `id`.
   uint32_t FingerprintOf(FlowId id) const { return fingerprint_(id); }
 
-  // Rebuild a sketch from snapshotted state (see core/serialization.h).
-  // `arrays` must match the config geometry: config.d + expansions arrays of
-  // config.w buckets each. Field values are masked into the packed word.
-  static HeavyKeeper Restore(const HeavyKeeperConfig& config,
-                             std::vector<std::vector<Bucket>> arrays, uint64_t stuck_events,
-                             uint64_t expansions);
+  // Rebuild a sketch from snapshotted state (see core/serialization.h):
+  // `image` is a SlabImage() of config.d + expansions arrays, copied into
+  // the slab as is. Returns nullopt when its size is not that geometry's
+  // after the constructor's clamps on w and the field widths.
+  static std::optional<HeavyKeeper> Restore(const HeavyKeeperConfig& config,
+                                            std::span<const uint8_t> image,
+                                            uint64_t stuck_events, uint64_t expansions);
 
  private:
   template <typename W>

@@ -323,8 +323,13 @@ class HeavyKeeperTopK : public TopKAlgorithm {
   // plus the candidate-store entries. The decay RNG restarts from the
   // config seed on load (core/serialization.h precedent).
   bool SaveState(std::vector<uint8_t>* out) const override {
-    ByteAppendBlob(*out, SerializeSketch(sketch_));
     const std::vector<FlowCount> entries = store_.Entries();
+    ByteReserve(*out, sizeof(uint64_t) + SerializedSketchBytes(sketch_) + sizeof(uint64_t) +
+                          entries.size() * (sizeof(FlowId) + sizeof(uint64_t)));
+    ByteAppendSized(*out, [this](std::vector<uint8_t>& blob) {
+      SerializeSketch(sketch_, &blob);
+      return true;
+    });
     ByteAppend(*out, static_cast<uint64_t>(entries.size()));
     for (const FlowCount& e : entries) {
       ByteAppend(*out, e.id);
@@ -335,11 +340,11 @@ class HeavyKeeperTopK : public TopKAlgorithm {
 
   bool LoadState(const uint8_t* data, size_t size) override {
     ByteReader reader(data, size);
-    std::vector<uint8_t> blob;
-    if (!reader.ReadBlob(&blob)) {
+    std::span<const uint8_t> blob;
+    if (!reader.BorrowBlob(&blob)) {
       return false;
     }
-    std::optional<HeavyKeeper> restored = DeserializeSketch(blob);
+    std::optional<HeavyKeeper> restored = DeserializeSketch(blob.data(), blob.size());
     if (!restored.has_value()) {
       return false;
     }

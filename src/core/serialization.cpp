@@ -1,8 +1,11 @@
 #include "core/serialization.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+
+#include "common/byte_io.h"
 
 namespace hk {
 namespace {
@@ -17,75 +20,80 @@ constexpr uint64_t kMagic = 0x484b534b45544348ULL;  // "HKSKETCH"
 constexpr uint32_t kVersionV1 = 1;
 constexpr uint32_t kVersion = 2;
 
-template <typename T>
-void Append(std::vector<uint8_t>& out, const T& v) {
-  const size_t pos = out.size();
-  out.resize(pos + sizeof(T));
-  std::memcpy(out.data() + pos, &v, sizeof(T));
+// magic, version, d, w, b, decay, fp bits, counter bits, seed, expansion
+// threshold, max arrays, stuck events, expansions, array count.
+constexpr size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
+
+// OR of every packed word's fingerprint field (the bits above `cb`). The
+// fingerprint limit is a power of two, so the OR is below it exactly when
+// every field is. Words are read unaligned from the wire.
+template <typename W>
+uint64_t FingerprintBits(const uint8_t* words, size_t count, uint32_t cb) {
+  uint64_t bits = 0;
+  for (size_t i = 0; i < count; ++i) {
+    W word;
+    std::memcpy(&word, words + i * sizeof(W), sizeof(W));
+    bits |= static_cast<uint64_t>(word) >> cb;
+  }
+  return bits;
 }
 
-class Reader {
- public:
-  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  bool Read(T* v) {
-    if (pos_ + sizeof(T) > size_) {
+// v1 payload -> v2 slab image: pack each (fp, c) pair, saturating the
+// counter into its field the way the pre-slab loader did.
+template <typename W>
+bool PackV1(ByteReader& reader, size_t buckets, uint32_t cb, uint64_t fp_limit,
+            std::vector<uint8_t>* image) {
+  const uint64_t cmax = cb >= 32 ? 0xffffffffULL : (1ULL << cb) - 1;
+  image->resize(buckets * sizeof(W));
+  for (size_t i = 0; i < buckets; ++i) {
+    uint32_t fp = 0;
+    uint32_t c = 0;
+    if (!reader.Read(&fp) || !reader.Read(&c) || fp >= fp_limit) {
       return false;
     }
-    std::memcpy(v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
+    const W word = static_cast<W>((static_cast<uint64_t>(fp) << cb) | std::min<uint64_t>(c, cmax));
+    std::memcpy(image->data() + i * sizeof(W), &word, sizeof(W));
   }
-
-  bool Done() const { return pos_ == size_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
+  return true;
+}
 
 }  // namespace
 
-std::vector<uint8_t> SerializeSketch(const HeavyKeeper& sketch) {
-  const HeavyKeeperConfig& config = sketch.config();
-  const auto arrays = sketch.DebugDump();
+size_t SerializedSketchBytes(const HeavyKeeper& sketch) {
+  return kHeaderBytes + sketch.SlabImage().size();
+}
 
-  std::vector<uint8_t> out;
-  out.reserve(64 + arrays.size() * config.w * 8);
-  Append(out, kMagic);
-  Append(out, kVersion);
-  Append(out, static_cast<uint64_t>(config.d));
-  Append(out, static_cast<uint64_t>(config.w));
-  Append(out, config.b);
-  Append(out, static_cast<uint32_t>(config.decay_function));
-  Append(out, config.fingerprint_bits);
-  Append(out, config.counter_bits);
-  Append(out, config.seed);
-  Append(out, config.expansion_threshold);
-  Append(out, static_cast<uint64_t>(config.max_arrays));
-  Append(out, sketch.stuck_events());
-  Append(out, sketch.expansions());
-  Append(out, static_cast<uint64_t>(arrays.size()));
-  // v2 payload: the packed slab words. Self-describing via the config
+void SerializeSketch(const HeavyKeeper& sketch, std::vector<uint8_t>* out) {
+  const HeavyKeeperConfig& config = sketch.config();
+  const std::span<const uint8_t> image = sketch.SlabImage();
+  ByteReserve(*out, kHeaderBytes + image.size());
+  ByteAppend(*out, kMagic);
+  ByteAppend(*out, kVersion);
+  ByteAppend(*out, static_cast<uint64_t>(config.d));
+  ByteAppend(*out, static_cast<uint64_t>(config.w));
+  ByteAppend(*out, config.b);
+  ByteAppend(*out, static_cast<uint32_t>(config.decay_function));
+  ByteAppend(*out, config.fingerprint_bits);
+  ByteAppend(*out, config.counter_bits);
+  ByteAppend(*out, config.seed);
+  ByteAppend(*out, config.expansion_threshold);
+  ByteAppend(*out, static_cast<uint64_t>(config.max_arrays));
+  ByteAppend(*out, sketch.stuck_events());
+  ByteAppend(*out, sketch.expansions());
+  ByteAppend(*out, static_cast<uint64_t>(sketch.num_arrays()));
+  // v2 payload: the packed slab words, self-describing via the config
   // fields above (BucketBytes() and CounterFieldBits() derive from them).
-  const uint32_t cb = config.CounterFieldBits();
-  const bool wide = config.BucketBytes() == 8;
-  for (const auto& array : arrays) {
-    for (const auto& bucket : array) {
-      if (wide) {
-        Append(out, (static_cast<uint64_t>(bucket.fp) << cb) | bucket.c);
-      } else {
-        Append(out, (bucket.fp << cb) | bucket.c);
-      }
-    }
-  }
+  out->insert(out->end(), image.begin(), image.end());
+}
+
+std::vector<uint8_t> SerializeSketch(const HeavyKeeper& sketch) {
+  std::vector<uint8_t> out;
+  SerializeSketch(sketch, &out);
   return out;
 }
 
 std::optional<HeavyKeeper> DeserializeSketch(const uint8_t* data, size_t size) {
-  Reader reader(data, size);
+  ByteReader reader(data, size);
   uint64_t magic = 0;
   uint32_t version = 0;
   if (!reader.Read(&magic) || magic != kMagic || !reader.Read(&version) ||
@@ -115,9 +123,11 @@ std::optional<HeavyKeeper> DeserializeSketch(const uint8_t* data, size_t size) {
   // Geometry limits: a legitimate writer can never exceed
   // kMaxPreparedArrays arrays (the constructor clamps d and max_arrays),
   // and Prepare() addresses arrays through a fixed idx[kMaxPreparedArrays]
-  // handle - so a header claiming more is corrupt, not just unusual.
+  // handle - so a header claiming more is corrupt, not just unusual. The
+  // same holds for a zero-bit fingerprint (the constructor clamps it to 1).
   if (d == 0 || d > HeavyKeeper::kMaxPreparedArrays ||
-      num_arrays > HeavyKeeper::kMaxPreparedArrays) {
+      num_arrays > HeavyKeeper::kMaxPreparedArrays ||
+      expansions >= HeavyKeeper::kMaxPreparedArrays || config.fingerprint_bits == 0) {
     return std::nullopt;
   }
   if (num_arrays != d + expansions || num_arrays > max_arrays + d || w == 0) {
@@ -126,43 +136,34 @@ std::optional<HeavyKeeper> DeserializeSketch(const uint8_t* data, size_t size) {
 
   const uint32_t cb = config.CounterFieldBits();
   const bool wide = config.BucketBytes() == 8;
-  const uint64_t cmask = cb >= 64 ? ~0ULL : ((1ULL << cb) - 1);
   const uint64_t fp_limit = config.fingerprint_bits >= 32
                                 ? (1ULL << 32)
                                 : (1ULL << config.fingerprint_bits);
-  std::vector<std::vector<HeavyKeeper::Bucket>> arrays(
-      num_arrays, std::vector<HeavyKeeper::Bucket>(w));
-  for (auto& array : arrays) {
-    for (auto& bucket : array) {
-      if (version == kVersionV1) {
-        // v1: unpacked (fp, c) uint32 pairs from the pre-slab layout.
-        if (!reader.Read(&bucket.fp) || !reader.Read(&bucket.c)) {
-          return std::nullopt;
-        }
-      } else if (wide) {
-        uint64_t word = 0;
-        if (!reader.Read(&word)) {
-          return std::nullopt;
-        }
-        bucket.fp = static_cast<uint32_t>(word >> cb);
-        bucket.c = static_cast<uint32_t>(word & cmask);
-      } else {
-        uint32_t word = 0;
-        if (!reader.Read(&word)) {
-          return std::nullopt;
-        }
-        bucket.fp = word >> cb;
-        bucket.c = static_cast<uint32_t>(word & cmask);
-      }
-      if (bucket.fp >= fp_limit) {
-        return std::nullopt;  // field overflows the packed word: corrupt
-      }
-    }
-  }
-  if (!reader.Done()) {
+  // Bounded by the remaining bytes before anything is sized from it.
+  const uint64_t buckets = num_arrays * w;
+  const uint64_t per_bucket = version == kVersionV1 ? 8 : config.BucketBytes();
+  if (w > reader.remaining() || buckets * per_bucket != reader.remaining()) {
     return std::nullopt;
   }
-  return HeavyKeeper::Restore(config, std::move(arrays), stuck_events, expansions);
+  std::vector<uint8_t> v1_image;
+  std::span<const uint8_t> image;
+  if (version == kVersionV1) {
+    // v1: unpacked (fp, c) uint32 pairs from the pre-slab layout.
+    const bool packed = wide ? PackV1<uint64_t>(reader, buckets, cb, fp_limit, &v1_image)
+                             : PackV1<uint32_t>(reader, buckets, cb, fp_limit, &v1_image);
+    if (!packed) {
+      return std::nullopt;
+    }
+    image = v1_image;
+  } else {
+    image = {reader.Borrow(reader.remaining()), static_cast<size_t>(buckets * per_bucket)};
+    const uint64_t fp_bits = wide ? FingerprintBits<uint64_t>(image.data(), buckets, cb)
+                                  : FingerprintBits<uint32_t>(image.data(), buckets, cb);
+    if (fp_bits >= fp_limit) {
+      return std::nullopt;  // a field overflows the packed word: corrupt
+    }
+  }
+  return HeavyKeeper::Restore(config, image, stuck_events, expansions);
 }
 
 bool SaveSketch(const HeavyKeeper& sketch, const std::string& path) {

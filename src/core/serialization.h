@@ -18,10 +18,19 @@
 
 namespace hk {
 
-// Snapshot the sketch (config + every bucket + expansion state).
+// Snapshot the sketch (config + every bucket + expansion state). The v2
+// payload is the slab image itself (HeavyKeeper::SlabImage), so a snapshot
+// is a fixed-size header plus one memcpy; the append form writes it at the
+// end of `out` with no staging buffer.
+void SerializeSketch(const HeavyKeeper& sketch, std::vector<uint8_t>* out);
 std::vector<uint8_t> SerializeSketch(const HeavyKeeper& sketch);
 
+// Bytes SerializeSketch(sketch) produces (for reserving ahead of it).
+size_t SerializedSketchBytes(const HeavyKeeper& sketch);
+
 // Rebuild a sketch from a snapshot. Returns nullopt on a malformed buffer.
+// A v2 payload is checked (every fingerprint field within its width) and
+// copied straight into the new slab; a v1 payload is packed into one.
 std::optional<HeavyKeeper> DeserializeSketch(const uint8_t* data, size_t size);
 
 inline std::optional<HeavyKeeper> DeserializeSketch(const std::vector<uint8_t>& buffer) {

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "common/byte_io.h"
 #include "ingest/pcap_reader.h"
@@ -23,30 +24,16 @@ constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderBytes = sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t) +
                                 sizeof(uint32_t);
 
+// Per-instance payload bytes besides the name, spec, source and state
+// contents: their four length prefixes, memory/k/seed/offset, and the
+// key kind, key policy and byte-weighted flags.
+constexpr size_t kInstanceFixedBytes = 4 * sizeof(uint64_t) + 4 * sizeof(uint64_t) + 3;
+
 bool Fail(std::string* error, const std::string& what) {
   if (error != nullptr) {
     *error = what;
   }
   return false;
-}
-
-std::vector<uint8_t> EncodePayload(const CheckpointManifest& manifest) {
-  std::vector<uint8_t> payload;
-  ByteAppend(payload, static_cast<uint64_t>(manifest.instances.size()));
-  for (const CheckpointInstance& inst : manifest.instances) {
-    ByteAppendString(payload, inst.name);
-    ByteAppendString(payload, inst.spec);
-    ByteAppend(payload, inst.memory_bytes);
-    ByteAppend(payload, inst.k);
-    ByteAppend(payload, inst.key_kind);
-    ByteAppend(payload, inst.seed);
-    ByteAppendString(payload, inst.source);
-    ByteAppend(payload, inst.source_key_policy);
-    ByteAppend(payload, inst.byte_weighted);
-    ByteAppend(payload, inst.packets_applied);
-    ByteAppendBlob(payload, inst.state);
-  }
-  return payload;
 }
 
 bool DecodePayload(const uint8_t* data, size_t size, CheckpointManifest* out,
@@ -95,14 +82,39 @@ bool DecodePayload(const uint8_t* data, size_t size, CheckpointManifest* out,
 }  // namespace
 
 std::vector<uint8_t> EncodeCheckpoint(const CheckpointManifest& manifest) {
-  const std::vector<uint8_t> payload = EncodePayload(manifest);
+  // One buffer, sized up front: the header goes in with zeroed length and
+  // CRC fields, the payload is appended behind it (each SaveState blob
+  // copied once), and both fields are patched at the end.
+  size_t payload_bytes = sizeof(uint64_t);
+  for (const CheckpointInstance& inst : manifest.instances) {
+    payload_bytes += kInstanceFixedBytes + inst.name.size() + inst.spec.size() +
+                     inst.source.size() + inst.state.size();
+  }
   std::vector<uint8_t> file;
-  file.reserve(kHeaderBytes + payload.size());
+  file.reserve(kHeaderBytes + payload_bytes);
   ByteAppend(file, kMagic);
   ByteAppend(file, kVersion);
-  ByteAppend(file, static_cast<uint64_t>(payload.size()));
-  ByteAppend(file, Crc32(payload));
-  file.insert(file.end(), payload.begin(), payload.end());
+  const size_t length_at = file.size();
+  ByteAppend(file, uint64_t{0});
+  ByteAppend(file, uint32_t{0});
+  ByteAppend(file, static_cast<uint64_t>(manifest.instances.size()));
+  for (const CheckpointInstance& inst : manifest.instances) {
+    ByteAppendString(file, inst.name);
+    ByteAppendString(file, inst.spec);
+    ByteAppend(file, inst.memory_bytes);
+    ByteAppend(file, inst.k);
+    ByteAppend(file, inst.key_kind);
+    ByteAppend(file, inst.seed);
+    ByteAppendString(file, inst.source);
+    ByteAppend(file, inst.source_key_policy);
+    ByteAppend(file, inst.byte_weighted);
+    ByteAppend(file, inst.packets_applied);
+    ByteAppendBlob(file, inst.state);
+  }
+  const uint64_t payload_len = file.size() - kHeaderBytes;
+  const uint32_t crc = Crc32(file.data() + kHeaderBytes, payload_len);
+  std::memcpy(file.data() + length_at, &payload_len, sizeof(payload_len));
+  std::memcpy(file.data() + length_at + sizeof(payload_len), &crc, sizeof(crc));
   return file;
 }
 
@@ -197,10 +209,20 @@ bool LoadCheckpoint(const std::string& path, CheckpointManifest* out, std::strin
   if (fd < 0) {
     return Fail(error, "open " + path + ": " + std::strerror(errno));
   }
-  std::vector<uint8_t> bytes;
-  uint8_t chunk[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+  // One allocation sized from fstat, filled by read(2) in place. A file
+  // that changes size underneath still fails safely: the decoder checks
+  // the framed length against the bytes actually read.
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const std::string what = std::strerror(errno);
+    ::close(fd);
+    return Fail(error, "stat " + path + ": " + what);
+  }
+  const size_t capacity = static_cast<size_t>(st.st_size);
+  const std::unique_ptr<uint8_t[]> bytes = std::make_unique_for_overwrite<uint8_t[]>(capacity);
+  size_t size = 0;
+  while (size < capacity) {
+    const ssize_t n = ::read(fd, bytes.get() + size, capacity - size);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -212,10 +234,10 @@ bool LoadCheckpoint(const std::string& path, CheckpointManifest* out, std::strin
     if (n == 0) {
       break;
     }
-    bytes.insert(bytes.end(), chunk, chunk + n);
+    size += static_cast<size_t>(n);
   }
   ::close(fd);
-  return DecodeCheckpoint(bytes.data(), bytes.size(), out, error);
+  return DecodeCheckpoint(bytes.get(), size, out, error);
 }
 
 bool RemoveStaleCheckpointTemp(const std::string& path) {

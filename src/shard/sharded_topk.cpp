@@ -378,18 +378,24 @@ size_t ShardedTopK::MemoryBytes() const {
 
 bool ShardedTopK::SaveState(std::vector<uint8_t>* out) const {
   WaitIdle();
-  // Stage into a local buffer so an inner that cannot checkpoint leaves
-  // the caller's output untouched.
-  std::vector<uint8_t> buf;
-  ByteAppend(buf, static_cast<uint64_t>(shards_.size()));
+  // The inners' tables dominate their blobs, so one reservation up front -
+  // with slack for blob headers and store records serialized wider than
+  // they are charged - lets every shard append in place without regrowing
+  // the buffer.
+  const size_t accounted = MemoryBytes();
+  ByteReserve(*out, accounted + accounted / 8 + shards_.size() * 1024);
+  const size_t start = out->size();
+  ByteAppend(*out, static_cast<uint64_t>(shards_.size()));
   for (const auto& shard : shards_) {
-    std::vector<uint8_t> inner;
-    if (!shard->algo->SaveState(&inner)) {
+    const TopKAlgorithm& inner = *shard->algo;
+    const bool saved = ByteAppendSized(*out, [&inner](std::vector<uint8_t>& blob) {
+      return inner.SaveState(&blob);
+    });
+    if (!saved) {
+      out->resize(start);  // a shard that cannot checkpoint leaves `out` untouched
       return false;
     }
-    ByteAppendBlob(buf, inner);
   }
-  out->insert(out->end(), buf.begin(), buf.end());
   return true;
 }
 
@@ -400,11 +406,11 @@ bool ShardedTopK::LoadState(const uint8_t* data, size_t size) {
   if (!reader.Read(&n) || n != shards_.size()) {
     return false;
   }
-  // Per-shard delegation is not atomic across shards: split the blobs out
+  // Per-shard delegation is not atomic across shards: frame the blobs
   // first so a short buffer cannot leave half the shards restored.
-  std::vector<std::vector<uint8_t>> blobs(shards_.size());
+  std::vector<std::span<const uint8_t>> blobs(shards_.size());
   for (auto& blob : blobs) {
-    if (!reader.ReadBlob(&blob)) {
+    if (!reader.BorrowBlob(&blob)) {
       return false;
     }
   }

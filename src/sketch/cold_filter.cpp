@@ -115,19 +115,22 @@ size_t ColdFilter::MemoryBytes() const {
 }
 
 bool ColdFilter::SaveState(std::vector<uint8_t>* out) const {
-  std::vector<uint8_t> l1(l1_.begin(), l1_.end());
-  std::vector<uint8_t> l2(l2_.begin(), l2_.end());
-  ByteAppendBlob(*out, l1);
-  ByteAppendBlob(*out, l2);
+  const size_t start = out->size();
+  ByteAppendBlob(*out, l1_);
+  ByteAppendBlob(*out, l2_);
   // Backend state rides along as the tail of the blob.
-  return backend_.SaveState(out);
+  if (!backend_.SaveState(out)) {
+    out->resize(start);
+    return false;
+  }
+  return true;
 }
 
 bool ColdFilter::LoadState(const uint8_t* data, size_t size) {
   ByteReader reader(data, size);
-  std::vector<uint8_t> l1;
-  std::vector<uint8_t> l2;
-  if (!reader.ReadBlob(&l1) || l1.size() != l1_.size() || !reader.ReadBlob(&l2) ||
+  std::span<const uint8_t> l1;
+  std::span<const uint8_t> l2;
+  if (!reader.BorrowBlob(&l1) || l1.size() != l1_.size() || !reader.BorrowBlob(&l2) ||
       l2.size() != l2_.size()) {
     return false;
   }

@@ -257,22 +257,25 @@ size_t WindowedTopK::MemoryBytes() const {
 size_t WindowedTopK::WorkerThreads() const { return 0; }
 
 bool WindowedTopK::SaveState(std::vector<uint8_t>* out) const {
-  // Stage into a local buffer so an inner that cannot checkpoint leaves
-  // the caller's output untouched.
-  std::vector<uint8_t> buf;
-  ByteAppend(buf, static_cast<uint64_t>(slots_.size()));
-  ByteAppend(buf, options_.epoch_packets);
-  ByteAppend(buf, static_cast<uint64_t>(current_));
-  ByteAppend(buf, epoch_);
-  ByteAppend(buf, in_epoch_);
+  // One reservation for every slot's blob (see ShardedTopK::SaveState).
+  const size_t accounted = MemoryBytes();
+  ByteReserve(*out, accounted + accounted / 8 + slots_.size() * 1024);
+  const size_t start = out->size();
+  ByteAppend(*out, static_cast<uint64_t>(slots_.size()));
+  ByteAppend(*out, options_.epoch_packets);
+  ByteAppend(*out, static_cast<uint64_t>(current_));
+  ByteAppend(*out, epoch_);
+  ByteAppend(*out, in_epoch_);
   for (const auto& slot : slots_) {
-    std::vector<uint8_t> inner;
-    if (!slot->SaveState(&inner)) {
+    const TopKAlgorithm& inner = *slot;
+    const bool saved = ByteAppendSized(*out, [&inner](std::vector<uint8_t>& blob) {
+      return inner.SaveState(&blob);
+    });
+    if (!saved) {
+      out->resize(start);  // a slot that cannot checkpoint leaves `out` untouched
       return false;
     }
-    ByteAppendBlob(buf, inner);
   }
-  out->insert(out->end(), buf.begin(), buf.end());
   return true;
 }
 
@@ -289,11 +292,11 @@ bool WindowedTopK::LoadState(const uint8_t* data, size_t size) {
       in_epoch >= epoch_packets) {
     return false;
   }
-  // Per-slot delegation is not atomic across slots: split the blobs out
-  // first so a short buffer cannot leave half the ring restored.
-  std::vector<std::vector<uint8_t>> blobs(slots_.size());
+  // Per-slot delegation is not atomic across slots: frame the blobs first
+  // so a short buffer cannot leave half the ring restored.
+  std::vector<std::span<const uint8_t>> blobs(slots_.size());
   for (auto& blob : blobs) {
-    if (!reader.ReadBlob(&blob)) {
+    if (!reader.BorrowBlob(&blob)) {
       return false;
     }
   }

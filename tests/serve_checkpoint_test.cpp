@@ -5,9 +5,15 @@
 // truncation, bit flips, foreign bytes) instead of loading garbage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/checkpoint.h"
@@ -99,6 +105,91 @@ TEST_P(CheckpointSweep, LoadRejectsTruncatedBlobWithoutMutating) {
   EXPECT_TRUE(fresh->TopK(10).empty()) << GetParam();
   ASSERT_TRUE(fresh->LoadState(blob.data(), blob.size())) << GetParam();
   EXPECT_EQ(fresh->TopK(10), saved->TopK(10)) << GetParam();
+}
+
+// The SaveState append contract: a blob lands after whatever the caller's
+// vector already holds, the prefix stays intact, and the appended bytes
+// are exactly what an empty vector receives.
+void ExpectSaveStateAppends(const std::string& spec) {
+  const SketchDefaults defaults = SmallDefaults();
+  auto algo = MakeSketch(spec, defaults);
+  ASSERT_NE(algo, nullptr) << spec;
+  algo->InsertBatch(MakeCampusTrace(30000, 6).packets);
+  algo->Flush();
+
+  std::vector<uint8_t> alone;
+  ASSERT_TRUE(algo->SaveState(&alone)) << spec;
+  const std::vector<uint8_t> prefix = {0x11, 0x22, 0x33, 0x44, 0x55};
+  std::vector<uint8_t> appended = prefix;
+  ASSERT_TRUE(algo->SaveState(&appended)) << spec;
+  ASSERT_EQ(appended.size(), prefix.size() + alone.size()) << spec;
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), appended.begin())) << spec;
+  EXPECT_TRUE(std::equal(alone.begin(), alone.end(), appended.begin() + prefix.size())) << spec;
+}
+
+TEST_P(CheckpointSweep, SaveStateAppendsAfterExistingBytes) { ExpectSaveStateAppends(GetParam()); }
+
+TEST(CheckpointAppend, ThreadedShardedAppendsAfterExistingBytes) {
+  ExpectSaveStateAppends("Sharded:n=4,threads=1");
+}
+
+// hk_serve checkpoints a threaded Sharded instance from its checkpoint
+// thread while the ingest thread keeps inserting; the instance lock
+// serializes the two, but the workers are still draining the rings when
+// SaveState starts. Every blob must be the state of exactly the packets
+// inserted so far - equal to a synchronous instance fed that prefix - and
+// must load into a fresh instance.
+TEST(ShardedCheckpoint, SaveWhileAProducerInsertsCapturesTheInsertedPrefix) {
+  const SketchDefaults defaults = SmallDefaults();
+  const std::string spec = "Sharded:n=4,threads=1";
+  auto live = MakeSketch(spec, defaults);
+  const Trace trace = MakeCampusTrace(60000, 8);
+  const std::span<const FlowId> packets(trace.packets);
+  constexpr size_t kChunk = 1000;
+
+  std::mutex mu;
+  std::atomic<bool> done{false};
+  size_t inserted = 0;
+  std::thread producer([&] {
+    for (size_t at = 0; at < packets.size(); at += kChunk) {
+      const std::lock_guard<std::mutex> lock(mu);
+      const size_t n = std::min(kChunk, packets.size() - at);
+      live->InsertBatch(packets.subspan(at, n));
+      inserted = at + n;
+    }
+    done.store(true, std::memory_order_release);
+  });
+  struct Save {
+    size_t prefix;
+    std::vector<uint8_t> blob;
+  };
+  std::vector<Save> saves;
+  while (saves.size() < 6) {
+    Save save;
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      save.prefix = inserted;
+      ASSERT_TRUE(live->SaveState(&save.blob));
+    }
+    saves.push_back(std::move(save));
+    if (done.load(std::memory_order_acquire)) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  producer.join();
+
+  for (const Save& save : saves) {
+    auto sync = MakeSketch("Sharded:n=4", defaults);
+    sync->InsertBatch(packets.first(save.prefix));
+    std::vector<uint8_t> expected;
+    ASSERT_TRUE(sync->SaveState(&expected));
+    EXPECT_EQ(save.blob, expected) << "save after " << save.prefix << " packets";
+
+    auto restored = MakeSketch(spec, defaults);
+    ASSERT_TRUE(restored->LoadState(save.blob.data(), save.blob.size()));
+    EXPECT_EQ(restored->TopK(20), sync->TopK(20)) << "save after " << save.prefix << " packets";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, CheckpointSweep,
