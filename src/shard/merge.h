@@ -18,9 +18,9 @@
 //     is the SUM of its per-slice estimates. A flow absent from a slice's
 //     report contributes 0 for that slice (the slice's sketch either never
 //     saw it or ranked it below the report cutoff), so merged estimates
-//     are lower bounds of a full-resolution sliding sketch. Callers:
-//     WindowedTopK::Snapshot/TopK (window/windowed_topk.h), which merges
-//     its ring of per-epoch reports.
+//     are lower bounds of a full-resolution sliding sketch. A duplicate id
+//     inside one list sums too. Callers: WindowedTopK::Snapshot/TopK
+//     (window/windowed_topk.h), which merges its ring of per-epoch reports.
 //
 // Relative to one sketch with the same *total* memory, a k-shard split
 // changes the error profile in two documented ways: each shard's arrays
@@ -47,6 +47,13 @@ enum class MergeMode {
 // TopKAlgorithm reporting order - and keep the k largest. Inputs need not
 // be sorted. The default mode keeps the historical disjoint-shard
 // semantics; see the mode contract above before switching.
+//
+// Cost: kSumById sums through one flat open-addressing table sized from
+// the total input length (>= 2x, power of two), so a repeat id costs one
+// short linear probe and no per-node allocation; fewer than 2^32 input
+// entries in all. Both modes then select the k best with nth_element and
+// sort only those k. The order is total, so the result equals a full sort
+// truncated to k.
 std::vector<FlowCount> MergeTopK(const std::vector<std::vector<FlowCount>>& per_shard, size_t k,
                                  MergeMode mode = MergeMode::kDisjoint);
 

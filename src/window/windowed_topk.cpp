@@ -77,6 +77,8 @@ WindowedTopK::WindowedTopK(const WindowedTopKOptions& options, const SketchDefau
   for (size_t i = 1; i < options_.window_epochs; ++i) {
     slots_.push_back(MakeSlot());
   }
+  reports_.resize(slots_.size());
+  report_depth_.assign(slots_.size(), kNoReport);
   telemetry::Registry& registry = telemetry::Registry::Get();
   tm_rotations_ = registry.GetCounter(
       "hk_window_rotations_total",
@@ -99,6 +101,7 @@ void WindowedTopK::Rotate() {
   // fresh is the instant its contents age out of every answer.
   current_ = (current_ + 1) % slots_.size();
   slots_[current_] = MakeSlot();
+  report_depth_[current_] = kNoReport;
   tm_rotations_->Add();
 }
 
@@ -157,12 +160,17 @@ void WindowedTopK::InsertBatch(std::span<const FlowId> ids, std::span<const uint
 void WindowedTopK::Flush() { slots_[current_]->Flush(); }
 
 std::vector<FlowCount> WindowedTopK::MergedWindow(size_t k, size_t* tracked) const {
-  std::vector<std::vector<FlowCount>> per_epoch;
-  per_epoch.reserve(slots_.size());
-  for (const auto& slot : slots_) {
-    per_epoch.push_back(slot->TopK(k * kMergeOversample));
+  // A completed slot cannot change until Rotate() rebuilds it, so its
+  // report at this exact depth is reused; the current slot is asked afresh
+  // and its entry stays marked stale, so it is recomputed once it completes.
+  const size_t depth = k * kMergeOversample;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (i == current_ || report_depth_[i] != depth) {
+      reports_[i] = slots_[i]->TopK(depth);
+      report_depth_[i] = i == current_ ? kNoReport : depth;
+    }
     if (tracked != nullptr) {
-      *tracked += per_epoch.back().size();
+      *tracked += reports_[i].size();
     }
   }
   // Two passes. Candidates come from the kSumById merge of the deep
@@ -173,8 +181,7 @@ std::vector<FlowCount> WindowedTopK::MergedWindow(size_t k, size_t* tracked) con
   // The rescore runs batched: one EstimateSizeBatch per slot lets the HK
   // inners hash lane-parallel and overlap the bucket-gather misses across
   // the whole candidate list instead of probing one cold flow at a time.
-  std::vector<FlowCount> candidates =
-      MergeTopK(per_epoch, k * kMergeOversample, MergeMode::kSumById);
+  std::vector<FlowCount> candidates = MergeTopK(reports_, depth, MergeMode::kSumById);
   std::vector<FlowId> ids(candidates.size());
   std::vector<uint64_t> counts(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
@@ -280,6 +287,8 @@ bool WindowedTopK::SaveState(std::vector<uint8_t>* out) const {
 }
 
 bool WindowedTopK::LoadState(const uint8_t* data, size_t size) {
+  // Drop every cache entry, whether or not the blob is accepted.
+  report_depth_.assign(slots_.size(), kNoReport);
   ByteReader reader(data, size);
   uint64_t w = 0;
   uint64_t epoch_packets = 0;
@@ -292,8 +301,7 @@ bool WindowedTopK::LoadState(const uint8_t* data, size_t size) {
       in_epoch >= epoch_packets) {
     return false;
   }
-  // Per-slot delegation is not atomic across slots: frame the blobs first
-  // so a short buffer cannot leave half the ring restored.
+  // Frame every blob first, so a short buffer costs no slot builds.
   std::vector<std::span<const uint8_t>> blobs(slots_.size());
   for (auto& blob : blobs) {
     if (!reader.BorrowBlob(&blob)) {
@@ -303,11 +311,18 @@ bool WindowedTopK::LoadState(const uint8_t* data, size_t size) {
   if (!reader.Done()) {
     return false;
   }
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (!slots_[i]->LoadState(blobs[i].data(), blobs[i].size())) {
+  // Inner loads are not atomic across slots: load into freshly built slots
+  // and swap them in only once every slot accepted its blob, so a rejected
+  // slot i leaves slots 0..i-1 untouched too.
+  std::vector<std::unique_ptr<TopKAlgorithm>> loaded;
+  loaded.reserve(slots_.size());
+  for (const auto& blob : blobs) {
+    loaded.push_back(MakeSlot());
+    if (!loaded.back()->LoadState(blob.data(), blob.size())) {
       return false;
     }
   }
+  slots_ = std::move(loaded);
   current_ = static_cast<size_t>(current);
   epoch_ = epoch;
   in_epoch_ = in_epoch;

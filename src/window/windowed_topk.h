@@ -30,6 +30,22 @@
 //     (tests/window_test.cpp pins recall >= 0.9 on the committed fixture
 //     captures against a brute-force sliding oracle).
 //
+// Report cache: only the current slot changes between rotations, so each
+// completed slot's report is kept with the depth it was asked at, and a
+// query re-asks a completed slot only when it has no report at that exact
+// depth (a query at another k recomputes rather than assuming a prefix
+// property of the inner). The current slot is always asked afresh. Rotate()
+// drops the entry of the slot it rebuilds; LoadState() drops every entry,
+// whether or not it accepts the blob. The answers, tracked_flows and
+// min_tracked equal an uncached merge exactly. The cache is at most
+// W * depth FlowCounts and, like LazyTopKStore's index, is not charged to
+// MemoryBytes().
+//
+// Thread safety: TopK() is const but fills that cache, so a Window
+// instance needs the same external serialization for queries as for
+// inserts - one caller at a time (hk_serve holds the instance mutex for
+// every call).
+//
 // Staleness bounds: an answer covers the current partial epoch plus the
 // W-1 most recent completed ones - between (W-1) and W epochs of stream,
 // so a flow's packets influence answers for at most W * epoch_packets
@@ -104,9 +120,10 @@ class WindowedTopK : public TopKAlgorithm {
   void InsertBatch(std::span<const FlowId> ids, std::span<const uint64_t> weights) override;
   void Flush() override;
 
-  // Sliding query: MergeTopK(kSumById) over the W per-slot reports picks
-  // the candidates, then each candidate is rescored with the bucket-level
-  // EstimateSize sum (see MergedWindow) before truncating to k.
+  // Sliding query: MergeTopK(kSumById) over the W per-slot reports (cached
+  // for completed slots, see above) picks the candidates, then each
+  // candidate is rescored with the bucket-level EstimateSize sum (see
+  // MergedWindow) before truncating to k.
   QueryResult Snapshot(const QueryOptions& options = {}) override;
   std::vector<FlowCount> TopK(size_t k) const override;
 
@@ -128,6 +145,8 @@ class WindowedTopK : public TopKAlgorithm {
   // Ring checkpoint: all W slot blobs plus the rotation cursor, so a
   // recovered instance keeps answering the same sliding window and keeps
   // rotating at the same packet boundaries (serve/checkpoint.h path).
+  // LoadState is all-or-nothing: a blob any slot rejects leaves the ring
+  // exactly as it was.
   bool SaveState(std::vector<uint8_t>* out) const override;
   bool LoadState(const uint8_t* data, size_t size) override;
 
@@ -151,6 +170,12 @@ class WindowedTopK : public TopKAlgorithm {
   EpochCallback on_epoch_;
   std::string inner_name_;  // canonical inner spec, pinned at construction
   std::vector<std::unique_ptr<TopKAlgorithm>> slots_;
+  // Report cache, one entry per slot: reports_[i] is slots_[i]->TopK(
+  // report_depth_[i]), or stale when report_depth_[i] == kNoReport (always
+  // so for the current slot). Mutable: the const queries fill it.
+  static constexpr size_t kNoReport = SIZE_MAX;
+  mutable std::vector<std::vector<FlowCount>> reports_;
+  mutable std::vector<size_t> report_depth_;
   size_t current_ = 0;     // ring index of the filling epoch
   uint64_t epoch_ = 0;     // completed epochs
   uint64_t in_epoch_ = 0;  // packets in the filling epoch

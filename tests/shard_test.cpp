@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -96,6 +97,87 @@ TEST(ShardMergeTest, SumByIdCombinesOverlappingLists) {
   }
   EXPECT_EQ(sevens, 2u);
   EXPECT_EQ(MergeTopK({}, 10, MergeMode::kSumById), std::vector<FlowCount>{});
+}
+
+bool ReportOrder(const FlowCount& a, const FlowCount& b) {
+  return a.count != b.count ? a.count > b.count : a.id < b.id;
+}
+
+// The obvious merge: a std::map of sums (kSumById) or plain concatenation
+// (kDisjoint), then a full sort and truncation to k.
+std::vector<FlowCount> ReferenceMerge(const std::vector<std::vector<FlowCount>>& lists, size_t k,
+                                      MergeMode mode) {
+  std::vector<FlowCount> all;
+  if (mode == MergeMode::kSumById) {
+    std::map<FlowId, uint64_t> sums;
+    for (const auto& list : lists) {
+      for (const FlowCount& fc : list) {
+        sums[fc.id] += fc.count;
+      }
+    }
+    for (const auto& [id, count] : sums) {
+      all.push_back({id, count});
+    }
+  } else {
+    for (const auto& list : lists) {
+      all.insert(all.end(), list.begin(), list.end());
+    }
+  }
+  std::sort(all.begin(), all.end(), ReportOrder);
+  if (all.size() > k) {
+    all.resize(k);
+  }
+  return all;
+}
+
+// Random lists over a small id space, so ids recur across lists and within
+// one list. The ids are spread over 64 bits, and residue 0 maps to id 0.
+std::vector<std::vector<FlowCount>> RandomLists(SplitMix64& rng, bool equal_counts) {
+  std::vector<std::vector<FlowCount>> lists(1 + rng.Next() % 9);
+  const uint64_t id_space = 1 + rng.Next() % 64;
+  for (auto& list : lists) {
+    const size_t n = rng.Next() % 40;
+    for (size_t i = 0; i < n; ++i) {
+      const FlowId id = (rng.Next() % id_space) * 0x9e3779b97f4a7c15ULL;
+      list.push_back({id, equal_counts ? 5 : rng.Next() % 100});
+    }
+  }
+  return lists;
+}
+
+TEST(ShardMergeTest, SumByIdMatchesMapReference) {
+  // Hand cases first: id 0 is an ordinary key, a repeat inside one list
+  // sums, and all-equal sums fall back to id order.
+  EXPECT_EQ(MergeTopK({{{0, 5}, {3, 5}}, {{0, 1}}}, 5, MergeMode::kSumById),
+            (std::vector<FlowCount>{{0, 6}, {3, 5}}));
+  EXPECT_EQ(MergeTopK({{{4, 2}, {4, 3}, {1, 4}}}, 5, MergeMode::kSumById),
+            (std::vector<FlowCount>{{4, 5}, {1, 4}}));
+  EXPECT_EQ(MergeTopK({{{9, 1}, {2, 1}}, {{5, 1}, {0, 1}}}, 3, MergeMode::kSumById),
+            (std::vector<FlowCount>{{0, 1}, {2, 1}, {5, 1}}));
+
+  SplitMix64 rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto lists = RandomLists(rng, trial % 4 == 0);
+    const size_t distinct = ReferenceMerge(lists, SIZE_MAX, MergeMode::kSumById).size();
+    for (const size_t k : {size_t{0}, size_t{1}, size_t{7}, distinct / 2, distinct,
+                           distinct + 5}) {
+      EXPECT_EQ(MergeTopK(lists, k, MergeMode::kSumById),
+                ReferenceMerge(lists, k, MergeMode::kSumById))
+          << "trial " << trial << " k=" << k;
+    }
+  }
+}
+
+TEST(ShardMergeTest, DisjointMatchesFullSortReference) {
+  SplitMix64 rng(78);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto lists = RandomLists(rng, trial % 4 == 0);
+    const size_t total = ReferenceMerge(lists, SIZE_MAX, MergeMode::kDisjoint).size();
+    for (const size_t k : {size_t{0}, size_t{1}, size_t{7}, total / 2, total, total + 5}) {
+      EXPECT_EQ(MergeTopK(lists, k), ReferenceMerge(lists, k, MergeMode::kDisjoint))
+          << "trial " << trial << " k=" << k;
+    }
+  }
 }
 
 TEST(ShardedTopKTest, RejectsDegenerateSpecs) {

@@ -3,21 +3,34 @@
 // inner sketches, the batch == scalar determinism contract across epoch
 // boundaries, checkpointing of the whole ring, capture-time windowing
 // through TraceReplayer (idle gaps -> one rotation per skipped window),
-// and the ISSUE 8 acceptance gate: Window:w=8,inner=HK-Minimum reaches
-// recall >= 0.9 against a brute-force sliding exact oracle on both
-// committed fixture captures.
+// the acceptance gate: Window:w=8,inner=HK-Minimum reaches recall >= 0.9
+// against a brute-force sliding exact oracle on both committed fixture
+// captures, the per-slot report cache against cache-free twins, and the
+// cache under hk_serve's concurrent ingest and queries (the TSan CI job
+// runs this suite).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "ingest/capture_synth.h"
 #include "ingest/pcap_reader.h"
 #include "ingest/pcap_writer.h"
 #include "ingest/trace_replayer.h"
 #include "metrics/accuracy.h"
+#include "serve/serve_core.h"
 #include "sketch/registry.h"
 #include "trace/generators.h"
 #include "trace/oracle.h"
@@ -253,6 +266,63 @@ TEST(WindowCheckpointTest, LoadRejectsMismatchedRingShape) {
   EXPECT_TRUE(ExactRing(3, 100)->LoadState(blob.data(), blob.size()));
 }
 
+// Byte offset of slot `slot`'s inner blob inside a WindowedTopK::SaveState
+// blob: five u64 ring fields, then one u64-length-prefixed blob per slot.
+size_t SlotBlobOffset(const std::vector<uint8_t>& blob, size_t slot) {
+  size_t pos = 5 * sizeof(uint64_t);
+  for (size_t i = 0; i < slot; ++i) {
+    uint64_t n = 0;
+    std::memcpy(&n, blob.data() + pos, sizeof(n));
+    pos += sizeof(n) + static_cast<size_t>(n);
+  }
+  return pos + sizeof(uint64_t);
+}
+
+TEST(WindowCheckpointTest, RejectedSlotBlobLeavesTheRingUntouched) {
+  // A well-framed blob whose slot-3 inner blob is rejected: slots 0..2
+  // accept theirs, so a slot-by-slot load would already have overwritten
+  // them. The ring must come out exactly as it went in.
+  WindowedTopKOptions options;
+  options.window_epochs = 8;
+  options.epoch_packets = 1000;
+  options.inner_spec = "HK-Minimum";
+  WindowedTopK ring(options, TestDefaults());
+  WindowedTopK other(options, TestDefaults());
+  ZipfTraceConfig config;
+  config.num_packets = 9'500;
+  config.num_ranks = 1'000;
+  config.skew = 1.1;
+  config.seed = 5;
+  ring.InsertBatch(MakeZipfTrace(config).packets);
+  config.seed = 6;
+  other.InsertBatch(MakeZipfTrace(config).packets);
+
+  std::vector<uint8_t> blob;
+  ASSERT_TRUE(other.SaveState(&blob));
+  std::vector<uint8_t> corrupt = blob;
+  // The HK inner blob is a length-prefixed sketch blob that opens with its
+  // u64 magic.
+  corrupt[SlotBlobOffset(corrupt, 3) + sizeof(uint64_t)] ^= 0xFF;
+
+  std::vector<uint8_t> before;
+  ASSERT_TRUE(ring.SaveState(&before));
+  const QueryResult answer = ring.Snapshot({.k = kK});
+  ASSERT_FALSE(answer.flows.empty());
+
+  EXPECT_FALSE(ring.LoadState(corrupt.data(), corrupt.size()));
+  std::vector<uint8_t> after;
+  ASSERT_TRUE(ring.SaveState(&after));
+  EXPECT_EQ(after, before);
+  const QueryResult again = ring.Snapshot({.k = kK});
+  EXPECT_EQ(again.flows, answer.flows);
+  EXPECT_EQ(again.stats.tracked_flows, answer.stats.tracked_flows);
+  EXPECT_EQ(again.stats.min_tracked, answer.stats.min_tracked);
+
+  // The intact blob loads: the rejection above was slot 3's alone.
+  EXPECT_TRUE(ring.LoadState(blob.data(), blob.size()));
+  EXPECT_EQ(ring.TopK(kK), other.TopK(kK));
+}
+
 // ---------------------------------------------------------------------------
 // Capture-time windowing through TraceReplayer.
 
@@ -368,16 +438,21 @@ TEST(WindowReplayTest, IdleGapRotatesOncePerSkippedWindowAndEvictsTheRing) {
 std::string CampusFixture() { return std::string(HK_TEST_DATA_DIR) + "/fixture_campus.pcap"; }
 std::string CaidaFixture() { return std::string(HK_TEST_DATA_DIR) + "/fixture_caida.pcapng"; }
 
-void ExpectSlidingRecallAtLeastPoint9(const std::string& path, PcapKeyPolicy policy,
-                                      KeyKind kind) {
+std::vector<FlowId> ReadIds(const std::string& path, PcapKeyPolicy policy) {
   PcapReader reader(policy);
-  ASSERT_TRUE(reader.Open(path)) << reader.error();
+  EXPECT_TRUE(reader.Open(path)) << reader.error();
   std::vector<FlowId> ids;
   PacketRecord record;
   while (reader.Next(&record)) {
     ids.push_back(record.id);
   }
-  ASSERT_TRUE(reader.ok()) << reader.error();
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  return ids;
+}
+
+void ExpectSlidingRecallAtLeastPoint9(const std::string& path, PcapKeyPolicy policy,
+                                      KeyKind kind) {
+  const std::vector<FlowId> ids = ReadIds(path, policy);
   ASSERT_GT(ids.size(), 0u);
 
   // 16 epochs over the capture with an 8-deep ring: the window covers
@@ -421,6 +496,169 @@ TEST(WindowAcceptanceTest, CampusFixtureSlidingRecallAtLeastPoint9) {
 TEST(WindowAcceptanceTest, CaidaFixtureSlidingRecallAtLeastPoint9) {
   ExpectSlidingRecallAtLeastPoint9(CaidaFixture(), PcapKeyPolicy::kAddrPair,
                                    KeyKind::kAddrPair8B);
+}
+
+// ---------------------------------------------------------------------------
+// The per-slot report cache answers exactly what a cache-free ring would.
+
+// Snapshot and TopK of `ring` against a twin rebuilt from its SaveState at
+// this instant: the same state with an empty report cache.
+void ExpectAnswerOfFreshTwin(WindowedTopK& ring, const SketchDefaults& defaults, size_t k,
+                             const std::string& where) {
+  std::vector<uint8_t> blob;
+  ASSERT_TRUE(ring.SaveState(&blob));
+  auto twin = MakeSketch(ring.name(), defaults);
+  ASSERT_TRUE(twin->LoadState(blob.data(), blob.size())) << where;
+  const QueryResult fresh = twin->Snapshot({.k = k});
+  const QueryResult live = ring.Snapshot({.k = k});
+  EXPECT_EQ(live.flows, fresh.flows) << where;
+  EXPECT_EQ(live.stats.tracked_flows, fresh.stats.tracked_flows) << where;
+  EXPECT_EQ(live.stats.min_tracked, fresh.stats.min_tracked) << where;
+  // Same depth again, nothing inserted in between: every completed slot
+  // answers from its cache entry.
+  EXPECT_EQ(ring.TopK(k), fresh.flows) << where;
+}
+
+// Feed a w=8 ring the capture in steps, querying after each step with k
+// cycling 10/100/250 (two steps per k, so completed slots are reused at an
+// unchanged depth), with packet rotations, an explicit Rotate() every fifth
+// step, and one mid-stream LoadState that rewinds the live ring to an
+// earlier blob and replays the capture from there.
+void ExpectCacheMatchesFreshTwins(const std::string& inner, const std::string& path,
+                                  PcapKeyPolicy policy, KeyKind kind) {
+  const std::vector<FlowId> ids = ReadIds(path, policy);
+  ASSERT_GT(ids.size(), 2'000u);
+  WindowedTopKOptions options;
+  options.window_epochs = 8;
+  options.epoch_packets = ids.size() / 24;
+  options.inner_spec = inner;
+  SketchDefaults defaults;
+  defaults.memory_bytes = 128 * 1024;
+  defaults.k = 100;
+  defaults.key_kind = kind;
+  defaults.seed = 9;
+  WindowedTopK ring(options, defaults);
+
+  constexpr size_t kKs[] = {10, 100, 250};
+  const size_t step = ids.size() / 40;
+  const std::span<const FlowId> all(ids);
+  std::vector<uint8_t> rewind_blob;
+  size_t rewind_pos = 0;
+  bool rewound = false;
+  size_t query = 0;
+  for (size_t pos = 0; pos < ids.size(); ++query) {
+    const size_t n = std::min(step, ids.size() - pos);
+    ring.InsertBatch(all.subspan(pos, n));
+    pos += n;
+    if (query % 5 == 4) {
+      ring.Rotate();
+    }
+    const size_t k = kKs[(query / 2) % 3];
+    ExpectAnswerOfFreshTwin(ring, defaults, k,
+                            inner + " query " + std::to_string(query) + " k=" + std::to_string(k));
+    if (rewind_blob.empty() && pos >= ids.size() / 3) {
+      ASSERT_TRUE(ring.SaveState(&rewind_blob));
+      rewind_pos = pos;
+    } else if (!rewound && pos >= 2 * ids.size() / 3) {
+      // The live ring's cache holds reports of the later state; the load
+      // must drop them all.
+      ASSERT_TRUE(ring.LoadState(rewind_blob.data(), rewind_blob.size()));
+      rewound = true;
+      pos = rewind_pos;
+      ExpectAnswerOfFreshTwin(ring, defaults, k, inner + " after LoadState");
+    }
+  }
+  EXPECT_TRUE(rewound);
+  EXPECT_GT(ring.completed_epochs(), options.window_epochs);
+}
+
+TEST(WindowCacheTest, HeavyKeeperRingMatchesFreshTwinsOnCampusFixture) {
+  ExpectCacheMatchesFreshTwins("HK-Minimum", CampusFixture(), PcapKeyPolicy::kFiveTuple,
+                               KeyKind::kFiveTuple13B);
+}
+
+TEST(WindowCacheTest, HeavyKeeperRingMatchesFreshTwinsOnCaidaFixture) {
+  ExpectCacheMatchesFreshTwins("HK-Minimum", CaidaFixture(), PcapKeyPolicy::kAddrPair,
+                               KeyKind::kAddrPair8B);
+}
+
+TEST(WindowCacheTest, SpaceSavingRingMatchesFreshTwinsOnCampusFixture) {
+  ExpectCacheMatchesFreshTwins("SS", CampusFixture(), PcapKeyPolicy::kFiveTuple,
+                               KeyKind::kFiveTuple13B);
+}
+
+TEST(WindowCacheTest, SpaceSavingRingMatchesFreshTwinsOnCaidaFixture) {
+  ExpectCacheMatchesFreshTwins("SS", CaidaFixture(), PcapKeyPolicy::kAddrPair,
+                               KeyKind::kAddrPair8B);
+}
+
+// ---------------------------------------------------------------------------
+// The cache under hk_serve: windowed TOPK and POINT race the ingest thread
+// on one instance (every Window call holds the instance lock).
+
+std::vector<std::string> Lines(const std::string& response) {
+  std::vector<std::string> lines;
+  std::istringstream in(response);
+  std::string line;
+  while (std::getline(in, line)) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(WindowServeTest, WindowTopKAndPointWhileIngesting) {
+  const std::string path = std::string(::testing::TempDir()) + "/window_serve." +
+                           std::to_string(getpid()) + ".pcap";
+  const Trace trace = SynthesizeCapture(CaidaConfig(100'000, 17), path, CaptureSynthOptions{});
+  ASSERT_EQ(trace.packets.size(), 100'000u);
+  ServeOptions serve;
+  serve.defaults.memory_bytes = 256 * 1024;
+  serve.defaults.k = 100;
+  serve.defaults.key_kind = KeyKind::kAddrPair8B;
+  serve.defaults.seed = 1;
+  const std::string spec = "Window:w=8,epoch=4000,inner=HK-Minimum";
+  ServeCore core(serve);
+  ASSERT_EQ(core.Execute("CREATE w " + spec), "OK created w\n");
+  ASSERT_EQ(core.Execute("ATTACH w " + path + " key=pair"), "OK attached w\n");
+
+  char point[48];
+  std::snprintf(point, sizeof(point), "POINT w %llx",
+                static_cast<unsigned long long>(trace.packets.front()));
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> malformed{0};
+  const auto query = [&](const std::string& line, const std::string& end_prefix) {
+    do {  // at least once, even if ingest already finished
+      const auto lines = Lines(core.Execute(line));
+      if (lines.empty() || lines.back().rfind(end_prefix, 0) != 0) {
+        malformed.fetch_add(1);
+      }
+    } while (!stop.load());
+  };
+  std::thread topk([&] { query("TOPK w 100 window", "END consistency=exact"); });
+  std::thread points([&] { query(point, "OK "); });
+  core.DrainIngest();
+  stop.store(true);
+  topk.join();
+  points.join();
+  EXPECT_EQ(malformed.load(), 0u);
+  ASSERT_EQ(core.PacketsApplied("w"), trace.packets.size());
+
+  // The served answer, cached slots and all, is the library ring's answer
+  // for the same stream (batch == scalar makes chunking irrelevant).
+  auto ring = MakeSketch(spec, serve.defaults);
+  ring->InsertBatch(trace.packets);
+  std::string expected;
+  for (const FlowCount& flow : ring->TopK(100)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "FLOW %llx %llu\n", static_cast<unsigned long long>(flow.id),
+                  static_cast<unsigned long long>(flow.count));
+    expected += buf;
+  }
+  for (int i = 0; i < 2; ++i) {
+    const std::string response = core.Execute("TOPK w 100 window");
+    EXPECT_EQ(response.substr(0, response.rfind("END")), expected) << "query " << i;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
