@@ -13,8 +13,7 @@ using namespace pcapfmt;
 
 namespace {
 
-// Streaming read-ahead: how much the window grows per source pull beyond
-// the bytes a record immediately needs.
+// Streaming read-ahead: the window's size, unless one record needs more.
 constexpr size_t kStreamChunkBytes = 256 * 1024;
 
 // A pcapng block larger than this is a corrupt length field, not data: the
@@ -101,7 +100,7 @@ uint32_t PcapReader::Load32(const uint8_t* p) const {
 
 bool PcapReader::Malformed(const std::string& what) {
   error_ = what;
-  offset_ = data_.size();  // terminate the stream
+  offset_ = end_;      // terminate the stream
   source_eof_ = true;      // and stop pulling from a streaming source
   return false;
 }
@@ -116,15 +115,20 @@ bool PcapReader::Refill(size_t need) {
   if (offset_ > 0) {
     // Drop the consumed prefix so the window stays bounded by one
     // in-flight record plus read-ahead.
-    data_.erase(data_.begin(), data_.begin() + static_cast<ptrdiff_t>(offset_));
+    std::memmove(data_.data(), data_.data() + offset_, end_ - offset_);
+    end_ -= offset_;
     offset_ = 0;
   }
-  while (data_.size() < need) {
-    const size_t old_size = data_.size();
-    const size_t want = std::max(need - old_size, kStreamChunkBytes);
-    data_.resize(old_size + want);
-    const size_t got = source_->Read(data_.data() + old_size, want);
-    data_.resize(old_size + got);
+  // The window keeps its size between pulls: one read-ahead chunk, or a
+  // larger record. It is sized (and zero-filled) once, not per pull; the
+  // bytes past end_ are read into before anything parses them.
+  const size_t window = std::max(need, kStreamChunkBytes);
+  if (data_.size() < window) {
+    data_.resize(window);
+  }
+  while (end_ < need) {
+    const size_t got = source_->Read(data_.data() + end_, data_.size() - end_);
+    end_ += got;
     if (got == 0) {
       source_eof_ = true;
       break;
@@ -166,6 +170,7 @@ bool PcapReader::Open(const std::string& path) {
 
 bool PcapReader::OpenBuffer(std::vector<uint8_t> data) {
   data_ = std::move(data);
+  end_ = data_.size();
   source_.reset();
   source_eof_ = false;
   offset_ = 0;
@@ -178,6 +183,7 @@ bool PcapReader::OpenBuffer(std::vector<uint8_t> data) {
 
 bool PcapReader::OpenStream(std::unique_ptr<ByteSource> source) {
   data_.clear();
+  end_ = 0;
   source_ = std::move(source);
   source_eof_ = false;
   offset_ = 0;

@@ -155,7 +155,7 @@ class PcapReader {
   // availability check. Streaming: compact the consumed prefix, then pull
   // from the source until satisfied or end-of-stream.
   bool Refill(size_t need);
-  size_t Available() const { return data_.size() - offset_; }
+  size_t Available() const { return end_ - offset_; }
   bool SourceEof();
   bool NextClassic(PacketRecord* out);
   bool NextNg(PacketRecord* out);
@@ -174,6 +174,9 @@ class PcapReader {
   PcapKeyPolicy policy_;
   bool defer_ids_ = false;
   std::vector<uint8_t> data_;
+  // End of the loaded bytes. Slurp: data_.size(). Streaming: data_ is the
+  // window's capacity, and only [0, end_) holds source bytes.
+  size_t end_ = 0;
   std::unique_ptr<ByteSource> source_;  // non-null = streaming mode
   bool source_eof_ = false;
   size_t offset_ = 0;       // next unread byte

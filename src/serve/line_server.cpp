@@ -77,6 +77,7 @@ void LineServer::AcceptLoop() {
       }
       return;  // listener fd gone
     }
+    SetTcpNoDelay(fd);
     tm_connections_->Add();
     std::lock_guard<std::mutex> lock(clients_mu_);
     client_fds_.push_back(fd);

@@ -70,9 +70,13 @@ int ConnectTcp(const std::string& host, uint16_t port, std::string* err) {
     ::close(fd);
     return -1;
   }
+  SetTcpNoDelay(fd);
+  return fd;
+}
+
+void SetTcpNoDelay(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
 }
 
 bool ParseTcpEndpoint(const std::string& text, std::string* host, uint16_t* port) {

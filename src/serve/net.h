@@ -18,6 +18,11 @@ int ListenTcp(uint16_t port, uint16_t* bound_port, std::string* err);
 // fd, or -1 with *err set.
 int ConnectTcp(const std::string& host, uint16_t port, std::string* err);
 
+// Turn off Nagle on a connected socket, so the tail segment of a
+// multi-segment reply is sent at once instead of waiting for the peer's
+// delayed ACK. Both ends of every protocol connection set it.
+void SetTcpNoDelay(int fd);
+
 // Parse "tcp://host:port". Returns false on malformed input.
 bool ParseTcpEndpoint(const std::string& text, std::string* host, uint16_t* port);
 

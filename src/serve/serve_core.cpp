@@ -1,9 +1,12 @@
 #include "serve/serve_core.h"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -105,7 +108,142 @@ bool ReplayableSource(const std::string& source) {
   return source != "-" && source.rfind("tcp://", 0) != 0;
 }
 
+// Frames the capture parser skipped, by any reason.
+uint64_t MalformedFrames(const IngestStats& s) {
+  return s.skipped_non_ip + s.skipped_truncated + s.skipped_other;
+}
+
+// Where one ingest stage sleeps when its side of the ring is full or
+// empty. `asleep` lets the other stage skip the wake-up (a futex call)
+// whenever nobody is waiting; it is stored before the sleeper re-checks
+// its condition and loaded after the waker changed it, all seq_cst, so
+// either the sleeper sees the change or the waker sees the sleeper.
+class Doorbell {
+ public:
+  template <typename Ready>
+  void SleepUntil(const Ready& ready) {
+    while (!ready()) {
+      const uint32_t seen = rings_.load(std::memory_order_acquire);
+      asleep_.store(true, std::memory_order_seq_cst);
+      if (!ready()) {
+        rings_.wait(seen, std::memory_order_acquire);
+      }
+      asleep_.store(false, std::memory_order_relaxed);
+    }
+  }
+
+  void Ring() {
+    if (asleep_.load(std::memory_order_seq_cst)) {
+      rings_.fetch_add(1, std::memory_order_release);
+      rings_.notify_one();
+    }
+  }
+
+ private:
+  std::atomic<uint32_t> rings_{0};
+  std::atomic<bool> asleep_{false};
+};
+
 }  // namespace
+
+// Parse stage -> apply stage handoff ring: bursts in stream order.
+constexpr uint32_t kIngestRingBursts = 8;
+
+// One parsed burst: what the apply stage inserts and accounts for.
+struct IngestBurst {
+  std::vector<FlowId> ids;
+  std::vector<uint64_t> weights;  // wire lengths; `bytes` bindings only
+  uint64_t wire_bytes = 0;
+  uint64_t malformed = 0;       // frames skipped while this burst was parsed
+  uint64_t source_wait_us = 0;  // time spent reading and parsing it
+  bool ring_was_full = false;   // the parse stage waited for its slot
+};
+
+// Single-producer (parse stage), single-consumer (apply stage) ring over
+// kIngestRingBursts preallocated bursts. `published_` and `released_` are
+// free-running counters; their difference is the number of bursts in
+// flight. The slots' contents travel by the release/acquire pairs on them.
+class IngestRing {
+ public:
+  IngestRing(size_t batch, bool weighted) {
+    for (IngestBurst& burst : slots_) {
+      burst.ids.reserve(batch);
+      if (weighted) {
+        burst.weights.reserve(batch);
+      }
+    }
+  }
+
+  // Parse stage. A free slot to fill, or nullptr once the apply stage has
+  // closed the ring. *waited says whether the ring was full.
+  IngestBurst* AcquireFree(bool* waited) {
+    const uint32_t head = published_.load(std::memory_order_relaxed);
+    *waited = InFlight(head) == kIngestRingBursts;
+    if (*waited) {
+      // Woken once half the ring has drained, not once per burst.
+      producer_.SleepUntil([&] {
+        return InFlight(head) <= kIngestRingBursts / 2 || closed_.load(std::memory_order_seq_cst);
+      });
+    }
+    if (closed_.load(std::memory_order_acquire)) {
+      return nullptr;
+    }
+    return &slots_[head % kIngestRingBursts];
+  }
+
+  void Publish() {
+    published_.fetch_add(1, std::memory_order_seq_cst);
+    consumer_.Ring();
+  }
+
+  // No more bursts (end of stream, source error, or stop).
+  void Finish() {
+    finished_.store(true, std::memory_order_seq_cst);
+    consumer_.Ring();
+  }
+
+  // Apply stage. The oldest unapplied burst, or nullptr once the parse
+  // stage has finished and every burst it published has been released.
+  const IngestBurst* AcquireFull() {
+    const uint32_t tail = released_.load(std::memory_order_relaxed);
+    const auto ready = [&] {
+      return published_.load(std::memory_order_seq_cst) != tail ||
+             finished_.load(std::memory_order_seq_cst);
+    };
+    consumer_.SleepUntil(ready);
+    // finished_ is stored after the last Publish: re-read the count.
+    if (published_.load(std::memory_order_acquire) == tail) {
+      return nullptr;
+    }
+    return &slots_[tail % kIngestRingBursts];
+  }
+
+  void Release() {
+    const uint32_t tail = released_.fetch_add(1, std::memory_order_seq_cst) + 1;
+    if (published_.load(std::memory_order_relaxed) - tail <= kIngestRingBursts / 2) {
+      producer_.Ring();
+    }
+  }
+
+  // The apply stage is leaving: wake the parse stage and refuse it slots.
+  void Close() {
+    closed_.store(true, std::memory_order_seq_cst);
+    producer_.Ring();
+  }
+
+ private:
+  uint32_t InFlight(uint32_t head) const {
+    return head - released_.load(std::memory_order_seq_cst);
+  }
+
+  std::array<IngestBurst, kIngestRingBursts> slots_;
+  alignas(64) std::atomic<uint32_t> published_{0};
+  alignas(64) std::atomic<uint32_t> released_{0};
+  std::atomic<bool> finished_{false};
+  std::atomic<bool> closed_{false};
+  Doorbell producer_;
+  Doorbell consumer_;
+};
 
 bool ParseAttachArgs(const std::vector<std::string>& args, size_t first, SourceBinding* out,
                      std::string* err) {
@@ -253,7 +391,7 @@ bool ServeCore::Attach(const std::string& name, const SourceBinding& binding,
     return false;
   }
   // Validate the source up front so ATTACH fails loudly instead of the
-  // ingest thread dying silently. The thread re-opens its own reader.
+  // ingest stages dying silently. The parse stage re-opens its own reader.
   {
     PcapReader probe(binding.policy);
     if (ReplayableSource(binding.source) && !OpenSource(probe, binding, err)) {
@@ -276,84 +414,141 @@ bool ServeCore::Attach(const std::string& name, const SourceBinding& binding,
         "Frames the capture parser skipped (non-IP, truncated, zero-length)", labels);
     inst->tm_source_wait_us = registry.GetCounter(
         "hk_ingest_source_wait_us_total",
-        "Microseconds the ingest thread spent reading and parsing its source", labels);
+        "Microseconds the parse stage spent reading and parsing its source", labels);
+    inst->tm_ring_full = registry.GetCounter(
+        "hk_ingest_ring_full_total",
+        "Bursts the parse stage held until the apply stage drained its ring", labels);
   }
   inst->ingest_done.store(false, std::memory_order_release);
   inst->ingest = std::thread([this, inst] { IngestLoop(inst); });
   return true;
 }
 
+std::unique_lock<std::mutex> ServeCore::LockInstance(const Instance* inst) {
+  inst->query_waiters.fetch_add(1, std::memory_order_seq_cst);
+  std::unique_lock<std::mutex> lock(inst->mu);
+  if (inst->query_waiters.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+    inst->query_waiters.notify_one();  // the apply stage may be yielding
+  }
+  return lock;
+}
+
 void ServeCore::IngestLoop(Instance* inst) {
+  // Everything the parse stage touches is built here, before its thread
+  // starts, so the parse thread does not allocate on its normal path. It
+  // then attaches no glibc arena of its own: once that thread exits,
+  // malloc_trim cannot shrink the idle arena's top chunk, and the
+  // reader's window would stay resident there.
   PcapReader reader(inst->binding.policy);
+  reader.set_defer_ids(true);  // ids are derived per burst (DerivePacketIds)
   std::string err;
   if (!OpenSource(reader, inst->binding, &err)) {
     inst->ingest_error = err;
     inst->ingest_done.store(true, std::memory_order_release);
     return;
   }
-  // Recovery: the checkpointed prefix is already in the sketch.
-  PacketRecord record;
-  for (uint64_t skipped = 0; skipped < inst->binding.skip_packets; ++skipped) {
-    if (!reader.Next(&record)) {
-      inst->ingest_error = reader.ok() ? "" : reader.error();
-      inst->ingest_done.store(true, std::memory_order_release);
-      return;
-    }
-  }
-  std::vector<FlowId> ids;
-  std::vector<uint64_t> weights;
-  ids.reserve(options_.ingest_batch);
-  weights.reserve(options_.ingest_batch);
+  std::vector<PacketRecord> records(std::max<size_t>(options_.ingest_batch, 1));
   const bool weighted = inst->binding.byte_weighted;
-  const auto malformed_of = [](const IngestStats& s) {
-    return s.skipped_non_ip + s.skipped_truncated + s.skipped_other;
-  };
-  uint64_t malformed_seen = malformed_of(reader.stats());
-  bool more = true;
-  while (more && !inst->stop_ingest.load(std::memory_order_acquire)) {
-    ids.clear();
-    weights.clear();
-    uint64_t burst_bytes = 0;
-    {
-      // Source-stall time: everything between bursts is waiting on (and
-      // parsing) the capture source, the number that tells an operator the
-      // pipe, not the sketch, is the bottleneck.
-      const telemetry::ScopedTimer wait(nullptr, inst->tm_source_wait_us);
-      while (ids.size() < options_.ingest_batch && (more = reader.Next(&record))) {
-        ids.push_back(record.id);
-        if (weighted) {
-          weights.push_back(record.wire_len);
-        }
-        burst_bytes += record.wire_len;
-      }
-    }
-    if (ids.empty()) {
+  IngestRing ring(records.size(), weighted);
+  std::thread parse([&] { ParseLoop(inst, &reader, records, &ring); });
+  while (!inst->stop_ingest.load(std::memory_order_acquire)) {
+    const IngestBurst* burst = ring.AcquireFull();
+    if (burst == nullptr) {
       break;
     }
-    tm_burst_packets_->Observe(ids.size());
+    const size_t n = burst->ids.size();
+    tm_burst_packets_->Observe(n);
+    // Queries go first: the lock is re-taken straight after each burst,
+    // so without this a waiting query would queue behind several.
+    for (uint32_t waiters; (waiters = inst->query_waiters.load(std::memory_order_acquire)) != 0;) {
+      inst->query_waiters.wait(waiters, std::memory_order_acquire);
+    }
     {
       // The applied-offset pair (sketch state, packets_applied) moves
       // under the instance lock, which is what lets a checkpoint taken
       // between bursts record a consistent cut of the stream.
       std::lock_guard<std::mutex> lock(inst->mu);
       if (weighted) {
-        inst->algo->InsertBatch(ids, weights);
+        inst->algo->InsertBatch(burst->ids, burst->weights);
       } else {
-        inst->algo->InsertBatch(ids);
+        inst->algo->InsertBatch(burst->ids);
       }
-      inst->packets_applied += ids.size();
-      inst->wire_bytes_applied += burst_bytes;
+      inst->packets_applied += n;
+      inst->wire_bytes_applied += burst->wire_bytes;
     }
-    inst->tm_packets->Add(ids.size());
-    inst->tm_bytes->Add(burst_bytes);
-    const uint64_t malformed_now = malformed_of(reader.stats());
-    inst->tm_malformed->Add(malformed_now - malformed_seen);
-    malformed_seen = malformed_now;
+    // The parse stage's counters are added here too (see ParseLoop).
+    inst->tm_packets->Add(n);
+    inst->tm_bytes->Add(burst->wire_bytes);
+    inst->tm_malformed->Add(burst->malformed);
+    inst->tm_source_wait_us->Add(burst->source_wait_us);
+    inst->tm_ring_full->Add(burst->ring_was_full ? 1 : 0);
+    ring.Release();
   }
+  ring.Close();
+  parse.join();
   if (!reader.ok()) {
     inst->ingest_error = reader.error();
   }
   inst->ingest_done.store(true, std::memory_order_release);
+}
+
+void ServeCore::ParseLoop(Instance* inst, PcapReader* reader, std::span<PacketRecord> records,
+                          IngestRing* ring) {
+  // No telemetry calls here: a counter's first Add on a thread allocates
+  // its cells. Each burst carries its figures to the apply stage instead.
+  // Recovery: the checkpointed prefix is already in the sketch.
+  for (uint64_t skipped = 0; skipped < inst->binding.skip_packets; ++skipped) {
+    if (!reader->Next(&records[0])) {
+      ring->Finish();
+      return;
+    }
+  }
+  const bool weighted = inst->binding.byte_weighted;
+  uint64_t malformed_seen = MalformedFrames(reader->stats());
+  bool more = true;
+  while (more && !inst->stop_ingest.load(std::memory_order_acquire)) {
+    // Source-stall time: reading and parsing the capture source, the
+    // number that tells an operator the pipe, not the sketch, is the
+    // bottleneck (a full ring is the sketch: see tm_ring_full).
+    using Clock = std::chrono::steady_clock;
+    const bool timed = telemetry::Registry::Enabled();
+    const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
+    size_t n = 0;
+    while (n < records.size() && (more = reader->Next(&records[n]))) {
+      ++n;
+    }
+    DerivePacketIds(reader->policy(), records.data(), n);
+    if (n == 0) {
+      break;
+    }
+    uint64_t source_wait_us = 0;
+    if (timed) {
+      source_wait_us = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start).count());
+    }
+    bool ring_was_full = false;
+    IngestBurst* burst = ring->AcquireFree(&ring_was_full);
+    if (burst == nullptr) {
+      break;  // the apply stage stopped
+    }
+    burst->ids.resize(n);
+    burst->weights.resize(weighted ? n : 0);
+    burst->wire_bytes = 0;
+    for (size_t i = 0; i < n; ++i) {
+      burst->ids[i] = records[i].id;
+      burst->wire_bytes += records[i].wire_len;
+      if (weighted) {
+        burst->weights[i] = records[i].wire_len;
+      }
+    }
+    const uint64_t malformed_now = MalformedFrames(reader->stats());
+    burst->malformed = malformed_now - malformed_seen;
+    malformed_seen = malformed_now;
+    burst->source_wait_us = source_wait_us;
+    burst->ring_was_full = ring_was_full;
+    ring->Publish();
+  }
+  ring->Finish();
 }
 
 void ServeCore::DrainIngest() {
@@ -392,7 +587,7 @@ bool ServeCore::WriteCheckpoint(std::string* err) {
       entry.key_kind = static_cast<uint8_t>(inst->defaults.key_kind);
       entry.seed = inst->defaults.seed;
       {
-        std::lock_guard<std::mutex> inst_lock(inst->mu);
+        const std::unique_lock<std::mutex> inst_lock = LockInstance(inst.get());
         inst->algo->Flush();
         if (!inst->algo->SaveState(&entry.state)) {
           *err = "instance '" + inst->name + "' (" + inst->algo->name() +
@@ -507,7 +702,7 @@ uint64_t ServeCore::PacketsApplied(const std::string& name) const {
   if (it == instances_.end()) {
     return 0;
   }
-  std::lock_guard<std::mutex> inst_lock(it->second->mu);
+  const std::unique_lock<std::mutex> inst_lock = LockInstance(it->second.get());
   return it->second->packets_applied;
 }
 
@@ -552,12 +747,12 @@ std::string ServeCore::CmdList() {
   for (const auto& [name, inst] : instances_) {
     uint64_t packets = 0;
     {
-      std::lock_guard<std::mutex> inst_lock(inst->mu);
+      const std::unique_lock<std::mutex> inst_lock = LockInstance(inst.get());
       packets = inst->packets_applied;
     }
     out += "INSTANCE " + name + " " + inst->spec + " packets=" + std::to_string(packets) +
            " source=" + (inst->attached ? inst->binding.source : "none");
-    if (!inst->ingest_error.empty() && inst->ingest_done.load(std::memory_order_acquire)) {
+    if (inst->ingest_done.load(std::memory_order_acquire) && !inst->ingest_error.empty()) {
       out += " ingest_error=1";
     }
     out += "\n";
@@ -614,7 +809,7 @@ std::string ServeCore::CmdTopK(const std::vector<std::string>& args) {
         return Err("instance '" + inst->name + "' is not windowed (spec " +
                                   inst->spec + "); CREATE it with Window:...");
       }
-      std::lock_guard<std::mutex> inst_lock(inst->mu);
+      const std::unique_lock<std::mutex> inst_lock = LockInstance(inst);
       result = window->Snapshot(query);
       window_suffix = " window=" + std::to_string(window->window_epochs()) +
                       " epoch_packets=" + std::to_string(window->epoch_packets()) +
@@ -624,7 +819,7 @@ std::string ServeCore::CmdTopK(const std::vector<std::string>& args) {
       // lock - writers never stall.
       result = inst->algo->Snapshot(query);
     } else {
-      std::lock_guard<std::mutex> inst_lock(inst->mu);
+      const std::unique_lock<std::mutex> inst_lock = LockInstance(inst);
       result = inst->algo->Snapshot(query);
     }
   }
@@ -659,7 +854,7 @@ std::string ServeCore::CmdPoint(const std::vector<std::string>& args) {
     if (inst == nullptr) {
       return Err(err);
     }
-    std::lock_guard<std::mutex> inst_lock(inst->mu);
+    const std::unique_lock<std::mutex> inst_lock = LockInstance(inst);
     estimate = inst->algo->EstimateSize(id);
   }
   tm_exact_queries_->Add();
@@ -707,7 +902,7 @@ std::string ServeCore::CmdStats(const std::vector<std::string>& args) {
   std::string algo_name;
   std::string simd_kernel;
   {
-    std::lock_guard<std::mutex> inst_lock(inst->mu);
+    const std::unique_lock<std::mutex> inst_lock = LockInstance(inst);
     packets = inst->packets_applied;
     wire_bytes = inst->wire_bytes_applied;
     memory = inst->algo->MemoryBytes();
@@ -724,9 +919,11 @@ std::string ServeCore::CmdStats(const std::vector<std::string>& args) {
   out += "STAT wire_bytes_applied " + std::to_string(wire_bytes) + "\n";
   out += "STAT memory_bytes " + std::to_string(memory) + "\n";
   out += "STAT source " + (inst->attached ? inst->binding.source : "none") + "\n";
-  out += "STAT ingest_done " +
-         std::to_string(inst->ingest_done.load(std::memory_order_acquire) ? 1 : 0) + "\n";
-  if (!inst->ingest_error.empty()) {
+  const bool ingest_done = inst->ingest_done.load(std::memory_order_acquire);
+  out += "STAT ingest_done " + std::to_string(ingest_done ? 1 : 0) + "\n";
+  // The apply stage writes ingest_error just before ingest_done; an
+  // instance whose source failed to re-attach on recovery has no stages.
+  if ((ingest_done || !inst->attached) && !inst->ingest_error.empty()) {
     out += "STAT ingest_error " + inst->ingest_error + "\n";
   }
   out += "END\n";

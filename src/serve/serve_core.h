@@ -2,9 +2,9 @@
 //
 // Hosts a name-keyed map of sketch instances (multi-tenancy: one daemon,
 // many sketches, each its own registry spec and byte budget), feeds each
-// from an optionally attached capture source on a dedicated ingest thread,
-// answers the line protocol, and checkpoints/recovers the whole map
-// atomically. The TCP listener (serve/line_server.h) and the binary
+// from an optionally attached capture source through a two-stage ingest
+// pipeline, answers the line protocol, and checkpoints/recovers the whole
+// map atomically. The TCP listener (serve/line_server.h) and the binary
 // (examples/hk_serve.cpp) are thin shells over Execute().
 //
 // Protocol (one request line in, a response of one or more lines out;
@@ -13,7 +13,7 @@
 //   CREATE <name> <spec>          OK created <name>
 //   DROP <name>                   OK dropped <name>
 //   ATTACH <name> <source> [key=5tuple|pair|src] [bytes]
-//                                 OK attached <name>  (starts the ingest thread)
+//                                 OK attached <name>  (starts the ingest stages)
 //   LIST                          INSTANCE <name> <spec> packets=<n> source=<s> ... / END
 //   TOPK [<name>] <k> [relaxed|exact|window]
 //                                 FLOW <id-hex> <estimate> lines / END
@@ -39,15 +39,36 @@
 // streaming pcap bytes; files are slurped unless larger-than-memory
 // streaming is forced with "stream:" prefix, pipes/sockets always stream.
 //
+// Ingest: each attached instance runs two threads joined by a fixed ring
+// of bursts (kIngestRingBursts in serve_core.cpp). This is the paper's
+// OVS split (Section VII): a datapath thread parses, and a user-space
+// thread updates the sketch.
+//   * The parse stage skips the recovery prefix, then fills bursts of
+//     ingest_batch records: ids (batch-derived), wire lengths for `bytes`
+//     bindings, and the malformed-frame delta. It reads through a reader
+//     the apply stage opened, into buffers the apply stage allocated.
+//   * The apply stage (Instance::ingest) pops bursts in order and, under
+//     the instance mutex, InsertBatch()es each one and advances the
+//     applied-offset pair. A parsed burst that is never applied is never
+//     counted, so checkpoints and recovery see only the applied prefix.
+// Neither stage spins: a stage sleeps only when its side of the ring is
+// full or empty, is woken only when actually asleep, and the parse stage
+// is woken once the ring is half drained rather than once per burst.
+// ingest_done is stored only after both stages have exited.
+//
 // Concurrency: every instance carries its own mutex serializing its
-// ingest thread against queries and checkpoints. A TOPK ... relaxed on a
-// Concurrent front-end or a threaded Sharded one bypasses the lock
-// entirely (Snapshot(kRelaxed)): Concurrent reads the live shared slab,
-// Sharded merges the reports its workers post at their next burst
-// boundary. Either way the query answers while the ingest thread keeps
-// inserting. For every other algorithm "relaxed" degrades to a (brief)
-// lock + exact snapshot, and the response says which consistency was
-// delivered.
+// apply stage against queries and checkpoints. Queries go first: every
+// other acquisition of the mutex goes through LockInstance(), which counts
+// waiters, and between bursts the apply stage sleeps until no query is
+// waiting before it re-takes the lock. Lock order: map_mu_, then the
+// instance mutex; the apply stage takes only the instance mutex, and the
+// parse stage takes neither. A TOPK ... relaxed on a Concurrent front-end
+// or a threaded Sharded one bypasses the lock entirely
+// (Snapshot(kRelaxed)): Concurrent reads the live shared slab, Sharded
+// merges the reports its workers post at their next burst boundary.
+// Either way the query answers while the apply stage keeps inserting. For
+// every other algorithm "relaxed" degrades to a (brief) lock + exact
+// snapshot, and the response says which consistency was delivered.
 //
 // Crash recovery: WriteCheckpoint() locks instances one at a time,
 // Flush()es, SaveState()s, and records the applied-packet offset under
@@ -65,6 +86,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,6 +104,9 @@ struct ServeOptions {
   SketchDefaults defaults;      // context for CREATE specs
   size_t ingest_batch = 512;    // records per ingest InsertBatch burst
 };
+
+// The burst ring between an instance's parse and apply stages.
+class IngestRing;
 
 // A parsed ATTACH source binding.
 struct SourceBinding {
@@ -114,7 +139,7 @@ class ServeCore {
   // start, returns true with *recovered = 0); a corrupt file is.
   bool Recover(size_t* recovered, std::string* err);
 
-  // Wait until every attached ingest thread reaches end-of-stream (file
+  // Wait until every attached ingest pipeline reaches end-of-stream (file
   // sources; a live pipe never ends). Tests and the smoke script use this
   // to sequence "after ingest" assertions.
   void DrainIngest();
@@ -136,19 +161,23 @@ class ServeCore {
     uint64_t packets_applied = 0;
     uint64_t wire_bytes_applied = 0;
 
+    // Callers blocked in LockInstance(); the apply stage yields mu to them.
+    mutable std::atomic<uint32_t> query_waiters{0};
+
     // Source binding (set once by Attach, read by checkpoint/LIST).
     SourceBinding binding;
     bool attached = false;
-    std::thread ingest;
+    std::thread ingest;  // the apply stage; it owns the parse stage
     std::atomic<bool> stop_ingest{false};
     std::atomic<bool> ingest_done{false};
-    std::string ingest_error;  // set by the ingest thread before ingest_done
+    std::string ingest_error;  // set by the apply stage before ingest_done
 
     // instance="<name>" series, registered when the source attaches.
     telemetry::Counter* tm_packets = nullptr;
     telemetry::Counter* tm_bytes = nullptr;
     telemetry::Counter* tm_malformed = nullptr;
     telemetry::Counter* tm_source_wait_us = nullptr;
+    telemetry::Counter* tm_ring_full = nullptr;
   };
 
   // map_mu_ guards the map shape (create/drop/lookup); per-instance mu
@@ -157,7 +186,14 @@ class ServeCore {
   // Resolve a possibly-omitted instance name (single-tenant convenience).
   Instance* Resolve(const std::string& name, std::string* err);
 
+  // Lock inst->mu for anything but the apply stage (queries first).
+  static std::unique_lock<std::mutex> LockInstance(const Instance* inst);
+
+  // The apply stage (runs on Instance::ingest) and the parse stage it
+  // spawns over the reader and burst scratch it opened and allocated.
   void IngestLoop(Instance* inst);
+  void ParseLoop(Instance* inst, PcapReader* reader, std::span<PacketRecord> records,
+                 IngestRing* ring);
 
   std::string CmdCreate(const std::vector<std::string>& args);
   std::string CmdDrop(const std::vector<std::string>& args);

@@ -4,6 +4,9 @@
 // transport end to end over loopback.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -345,6 +348,43 @@ TEST(LineServerTest, StopUnblocksPendingReads) {
   ASSERT_GE(fd, 0) << err;
   server.Stop();
   ::close(fd);
+}
+
+// Accepted protocol sockets carry TCP_NODELAY, so a multi-segment TOPK
+// reply's tail segment never waits for the client's delayed ACK. The
+// accepted fd lives in this process: find it as the socket whose local
+// port is the listener's but which is not itself listening.
+TEST(LineServerTest, AcceptedConnectionsSetTcpNoDelay) {
+  ServeCore core(SmallOptions());
+  LineServer server(core);
+  std::string err;
+  ASSERT_TRUE(server.Start(0, &err)) << err;
+  const int fd = ConnectTcp("127.0.0.1", server.port(), &err);
+  ASSERT_GE(fd, 0) << err;
+  std::string carry;
+  ASSERT_EQ(Request(fd, &carry, "PING").size(), 1u);  // the server has accepted
+
+  int accepted = 0;
+  for (int candidate = 0; candidate < 4096; ++candidate) {
+    sockaddr_in local{};
+    socklen_t len = sizeof(local);
+    int listening = 0;
+    socklen_t opt_len = sizeof(listening);
+    if (::getsockname(candidate, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET || ntohs(local.sin_port) != server.port() ||
+        ::getsockopt(candidate, SOL_SOCKET, SO_ACCEPTCONN, &listening, &opt_len) != 0 ||
+        listening != 0) {
+      continue;
+    }
+    int nodelay = 0;
+    opt_len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(candidate, IPPROTO_TCP, TCP_NODELAY, &nodelay, &opt_len), 0);
+    EXPECT_NE(nodelay, 0) << "accepted fd " << candidate;
+    ++accepted;
+  }
+  EXPECT_EQ(accepted, 1);
+  ::close(fd);
+  server.Stop();
 }
 
 // ---------------------------------------------------------------------------
