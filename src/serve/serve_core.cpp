@@ -4,6 +4,7 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -113,37 +114,6 @@ uint64_t MalformedFrames(const IngestStats& s) {
   return s.skipped_non_ip + s.skipped_truncated + s.skipped_other;
 }
 
-// Where one ingest stage sleeps when its side of the ring is full or
-// empty. `asleep` lets the other stage skip the wake-up (a futex call)
-// whenever nobody is waiting; it is stored before the sleeper re-checks
-// its condition and loaded after the waker changed it, all seq_cst, so
-// either the sleeper sees the change or the waker sees the sleeper.
-class Doorbell {
- public:
-  template <typename Ready>
-  void SleepUntil(const Ready& ready) {
-    while (!ready()) {
-      const uint32_t seen = rings_.load(std::memory_order_acquire);
-      asleep_.store(true, std::memory_order_seq_cst);
-      if (!ready()) {
-        rings_.wait(seen, std::memory_order_acquire);
-      }
-      asleep_.store(false, std::memory_order_relaxed);
-    }
-  }
-
-  void Ring() {
-    if (asleep_.load(std::memory_order_seq_cst)) {
-      rings_.fetch_add(1, std::memory_order_release);
-      rings_.notify_one();
-    }
-  }
-
- private:
-  std::atomic<uint32_t> rings_{0};
-  std::atomic<bool> asleep_{false};
-};
-
 }  // namespace
 
 // Parse stage -> apply stage handoff ring: bursts in stream order.
@@ -156,13 +126,16 @@ struct IngestBurst {
   uint64_t wire_bytes = 0;
   uint64_t malformed = 0;       // frames skipped while this burst was parsed
   uint64_t source_wait_us = 0;  // time spent reading and parsing it
-  bool ring_was_full = false;   // the parse stage waited for its slot
 };
 
 // Single-producer (parse stage), single-consumer (apply stage) ring over
 // kIngestRingBursts preallocated bursts. `published_` and `released_` are
-// free-running counters; their difference is the number of bursts in
-// flight. The slots' contents travel by the release/acquire pairs on them.
+// free-running counters under mu_; their difference is the number of
+// bursts in flight. A stage sleeps on its condition variable only when
+// its side of the ring is full or empty (a notify with no sleeper makes
+// no system call), and the parse stage is woken once half the ring has
+// drained, not once per burst. Slot contents are written and read outside
+// mu_; the lock taken to publish or release a slot orders them.
 class IngestRing {
  public:
   IngestRing(size_t batch, bool weighted) {
@@ -175,74 +148,72 @@ class IngestRing {
   }
 
   // Parse stage. A free slot to fill, or nullptr once the apply stage has
-  // closed the ring. *waited says whether the ring was full.
-  IngestBurst* AcquireFree(bool* waited) {
-    const uint32_t head = published_.load(std::memory_order_relaxed);
-    *waited = InFlight(head) == kIngestRingBursts;
-    if (*waited) {
-      // Woken once half the ring has drained, not once per burst.
-      producer_.SleepUntil([&] {
-        return InFlight(head) <= kIngestRingBursts / 2 || closed_.load(std::memory_order_seq_cst);
-      });
+  // closed the ring.
+  IngestBurst* AcquireFree() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (published_ - released_ == kIngestRingBursts) {
+      free_cv_.wait(lock, [&] { return closed_ || published_ - released_ <= kHalf; });
     }
-    if (closed_.load(std::memory_order_acquire)) {
-      return nullptr;
-    }
-    return &slots_[head % kIngestRingBursts];
+    return closed_ ? nullptr : &slots_[published_ % kIngestRingBursts];
   }
 
   void Publish() {
-    published_.fetch_add(1, std::memory_order_seq_cst);
-    consumer_.Ring();
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      ++published_;
+    }
+    full_cv_.notify_one();
   }
 
   // No more bursts (end of stream, source error, or stop).
   void Finish() {
-    finished_.store(true, std::memory_order_seq_cst);
-    consumer_.Ring();
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      finished_ = true;
+    }
+    full_cv_.notify_one();
   }
 
   // Apply stage. The oldest unapplied burst, or nullptr once the parse
   // stage has finished and every burst it published has been released.
   const IngestBurst* AcquireFull() {
-    const uint32_t tail = released_.load(std::memory_order_relaxed);
-    const auto ready = [&] {
-      return published_.load(std::memory_order_seq_cst) != tail ||
-             finished_.load(std::memory_order_seq_cst);
-    };
-    consumer_.SleepUntil(ready);
-    // finished_ is stored after the last Publish: re-read the count.
-    if (published_.load(std::memory_order_acquire) == tail) {
-      return nullptr;
-    }
-    return &slots_[tail % kIngestRingBursts];
+    std::unique_lock<std::mutex> lock(mu_);
+    full_cv_.wait(lock, [&] { return published_ != released_ || finished_; });
+    return published_ == released_ ? nullptr : &slots_[released_ % kIngestRingBursts];
   }
 
   void Release() {
-    const uint32_t tail = released_.fetch_add(1, std::memory_order_seq_cst) + 1;
-    if (published_.load(std::memory_order_relaxed) - tail <= kIngestRingBursts / 2) {
-      producer_.Ring();
+    bool half_drained;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      ++released_;
+      half_drained = published_ - released_ <= kHalf;
+    }
+    if (half_drained) {
+      free_cv_.notify_one();
     }
   }
 
   // The apply stage is leaving: wake the parse stage and refuse it slots.
   void Close() {
-    closed_.store(true, std::memory_order_seq_cst);
-    producer_.Ring();
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      closed_ = true;
+    }
+    free_cv_.notify_one();
   }
 
  private:
-  uint32_t InFlight(uint32_t head) const {
-    return head - released_.load(std::memory_order_seq_cst);
-  }
+  static constexpr uint32_t kHalf = kIngestRingBursts / 2;
 
   std::array<IngestBurst, kIngestRingBursts> slots_;
-  alignas(64) std::atomic<uint32_t> published_{0};
-  alignas(64) std::atomic<uint32_t> released_{0};
-  std::atomic<bool> finished_{false};
-  std::atomic<bool> closed_{false};
-  Doorbell producer_;
-  Doorbell consumer_;
+  std::mutex mu_;
+  std::condition_variable free_cv_;  // the parse stage waits for a free slot
+  std::condition_variable full_cv_;  // the apply stage waits for a burst
+  uint32_t published_ = 0;
+  uint32_t released_ = 0;
+  bool finished_ = false;
+  bool closed_ = false;
 };
 
 bool ParseAttachArgs(const std::vector<std::string>& args, size_t first, SourceBinding* out,
@@ -415,9 +386,6 @@ bool ServeCore::Attach(const std::string& name, const SourceBinding& binding,
     inst->tm_source_wait_us = registry.GetCounter(
         "hk_ingest_source_wait_us_total",
         "Microseconds the parse stage spent reading and parsing its source", labels);
-    inst->tm_ring_full = registry.GetCounter(
-        "hk_ingest_ring_full_total",
-        "Bursts the parse stage held until the apply stage drained its ring", labels);
   }
   inst->ingest_done.store(false, std::memory_order_release);
   inst->ingest = std::thread([this, inst] { IngestLoop(inst); });
@@ -425,11 +393,10 @@ bool ServeCore::Attach(const std::string& name, const SourceBinding& binding,
 }
 
 std::unique_lock<std::mutex> ServeCore::LockInstance(const Instance* inst) {
-  inst->query_waiters.fetch_add(1, std::memory_order_seq_cst);
+  inst->query_arrivals.fetch_add(1, std::memory_order_release);
   std::unique_lock<std::mutex> lock(inst->mu);
-  if (inst->query_waiters.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    inst->query_waiters.notify_one();  // the apply stage may be yielding
-  }
+  inst->query_grants.fetch_add(1, std::memory_order_release);
+  inst->query_grants.notify_one();  // the apply stage may be giving way
   return lock;
 }
 
@@ -459,9 +426,14 @@ void ServeCore::IngestLoop(Instance* inst) {
     const size_t n = burst->ids.size();
     tm_burst_packets_->Observe(n);
     // Queries go first: the lock is re-taken straight after each burst,
-    // so without this a waiting query would queue behind several.
-    for (uint32_t waiters; (waiters = inst->query_waiters.load(std::memory_order_acquire)) != 0;) {
-      inst->query_waiters.wait(waiters, std::memory_order_acquire);
+    // so without this a waiting query would queue behind several. The
+    // stage gives way only to the queries that arrived before this burst
+    // boundary, so a steady stream of queries cannot starve ingest.
+    const uint32_t due = inst->query_arrivals.load(std::memory_order_acquire);
+    uint32_t granted = inst->query_grants.load(std::memory_order_acquire);
+    while (static_cast<int32_t>(due - granted) > 0) {
+      inst->query_grants.wait(granted, std::memory_order_acquire);
+      granted = inst->query_grants.load(std::memory_order_acquire);
     }
     {
       // The applied-offset pair (sketch state, packets_applied) moves
@@ -481,7 +453,6 @@ void ServeCore::IngestLoop(Instance* inst) {
     inst->tm_bytes->Add(burst->wire_bytes);
     inst->tm_malformed->Add(burst->malformed);
     inst->tm_source_wait_us->Add(burst->source_wait_us);
-    inst->tm_ring_full->Add(burst->ring_was_full ? 1 : 0);
     ring.Release();
   }
   ring.Close();
@@ -509,7 +480,7 @@ void ServeCore::ParseLoop(Instance* inst, PcapReader* reader, std::span<PacketRe
   while (more && !inst->stop_ingest.load(std::memory_order_acquire)) {
     // Source-stall time: reading and parsing the capture source, the
     // number that tells an operator the pipe, not the sketch, is the
-    // bottleneck (a full ring is the sketch: see tm_ring_full).
+    // bottleneck.
     using Clock = std::chrono::steady_clock;
     const bool timed = telemetry::Registry::Enabled();
     const Clock::time_point start = timed ? Clock::now() : Clock::time_point{};
@@ -526,8 +497,7 @@ void ServeCore::ParseLoop(Instance* inst, PcapReader* reader, std::span<PacketRe
       source_wait_us = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start).count());
     }
-    bool ring_was_full = false;
-    IngestBurst* burst = ring->AcquireFree(&ring_was_full);
+    IngestBurst* burst = ring->AcquireFree();
     if (burst == nullptr) {
       break;  // the apply stage stopped
     }
@@ -545,7 +515,6 @@ void ServeCore::ParseLoop(Instance* inst, PcapReader* reader, std::span<PacketRe
     burst->malformed = malformed_now - malformed_seen;
     malformed_seen = malformed_now;
     burst->source_wait_us = source_wait_us;
-    burst->ring_was_full = ring_was_full;
     ring->Publish();
   }
   ring->Finish();

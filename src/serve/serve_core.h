@@ -51,20 +51,24 @@
 //     the instance mutex, InsertBatch()es each one and advances the
 //     applied-offset pair. A parsed burst that is never applied is never
 //     counted, so checkpoints and recovery see only the applied prefix.
-// Neither stage spins: a stage sleeps only when its side of the ring is
-// full or empty, is woken only when actually asleep, and the parse stage
-// is woken once the ring is half drained rather than once per burst.
+// Neither stage spins: a stage sleeps on a condition variable only when
+// its side of the ring is full or empty (a notify with no sleeper makes no
+// system call), and the parse stage is woken once the ring is half
+// drained rather than once per burst.
 // ingest_done is stored only after both stages have exited.
 //
 // Concurrency: every instance carries its own mutex serializing its
-// apply stage against queries and checkpoints. Queries go first: every
-// other acquisition of the mutex goes through LockInstance(), which counts
-// waiters, and between bursts the apply stage sleeps until no query is
-// waiting before it re-takes the lock. Lock order: map_mu_, then the
-// instance mutex; the apply stage takes only the instance mutex, and the
-// parse stage takes neither. A TOPK ... relaxed on a Concurrent front-end
-// or a threaded Sharded one bypasses the lock entirely
-// (Snapshot(kRelaxed)): Concurrent reads the live shared slab, Sharded
+// apply stage against queries and checkpoints. Queries go first, but only
+// phase-fairly: every other acquisition of the mutex goes through
+// LockInstance(), which counts arrivals before and grants after taking
+// it. Between bursts the apply stage notes the arrivals so far and sleeps
+// until that many grants have been made, so it gives way to the queries
+// already waiting but not to ones that come later. Lock order: map_mu_,
+// then the instance mutex; the apply stage takes only the instance mutex
+// and the ring's, never both at once, and the parse stage takes only the
+// ring's. A TOPK ... relaxed on a Concurrent front-end or a threaded
+// Sharded one bypasses the lock entirely (Snapshot(kRelaxed)):
+// Concurrent reads the live shared slab, Sharded
 // merges the reports its workers post at their next burst boundary.
 // Either way the query answers while the apply stage keeps inserting. For
 // every other algorithm "relaxed" degrades to a (brief) lock + exact
@@ -161,8 +165,11 @@ class ServeCore {
     uint64_t packets_applied = 0;
     uint64_t wire_bytes_applied = 0;
 
-    // Callers blocked in LockInstance(); the apply stage yields mu to them.
-    mutable std::atomic<uint32_t> query_waiters{0};
+    // LockInstance() calls that have begun, and those that hold or held
+    // mu. Between bursts the apply stage waits until the grants catch up
+    // with the arrivals it saw, then competes for mu like anyone else.
+    mutable std::atomic<uint32_t> query_arrivals{0};
+    mutable std::atomic<uint32_t> query_grants{0};
 
     // Source binding (set once by Attach, read by checkpoint/LIST).
     SourceBinding binding;
@@ -177,7 +184,6 @@ class ServeCore {
     telemetry::Counter* tm_bytes = nullptr;
     telemetry::Counter* tm_malformed = nullptr;
     telemetry::Counter* tm_source_wait_us = nullptr;
-    telemetry::Counter* tm_ring_full = nullptr;
   };
 
   // map_mu_ guards the map shape (create/drop/lookup); per-instance mu

@@ -74,9 +74,11 @@ WindowedTopK::WindowedTopK(const WindowedTopKOptions& options, const SketchDefau
         options_.inner_spec + "' spawns workers - wrap the unthreaded inner instead");
   }
   inner_name_ = slots_[0]->name();
-  for (size_t i = 1; i < options_.window_epochs; ++i) {
-    slots_.push_back(MakeSlot());
-  }
+  empty_slot_bytes_ = slots_[0]->MemoryBytes();
+  // The other slots stay unbuilt (null) until Rotate() first advances into
+  // them and builds them anyway: an unbuilt slot is an empty epoch, and
+  // building W-1 of them here would only zero memory the ring replaces.
+  slots_.resize(options_.window_epochs);
   reports_.resize(slots_.size());
   report_depth_.assign(slots_.size(), kNoReport);
   telemetry::Registry& registry = telemetry::Registry::Get();
@@ -165,6 +167,9 @@ std::vector<FlowCount> WindowedTopK::MergedWindow(size_t k, size_t* tracked) con
   // and its entry stays marked stale, so it is recomputed once it completes.
   const size_t depth = k * kMergeOversample;
   for (size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i] == nullptr) {
+      continue;  // an empty epoch reports nothing
+    }
     if (i == current_ || report_depth_[i] != depth) {
       reports_[i] = slots_[i]->TopK(depth);
       report_depth_[i] = i == current_ ? kNoReport : depth;
@@ -224,7 +229,9 @@ std::vector<FlowCount> WindowedTopK::TopK(size_t k) const {
 uint64_t WindowedTopK::EstimateSize(FlowId id) const {
   uint64_t total = 0;
   for (const auto& slot : slots_) {
-    total += slot->EstimateSize(id);
+    if (slot != nullptr) {
+      total += slot->EstimateSize(id);
+    }
   }
   return total;
 }
@@ -233,6 +240,9 @@ void WindowedTopK::EstimateSizeBatch(std::span<const FlowId> ids, std::span<uint
   std::fill(out.begin(), out.begin() + static_cast<ptrdiff_t>(ids.size()), 0);
   std::vector<uint64_t> slot_counts(ids.size());
   for (const auto& slot : slots_) {
+    if (slot == nullptr) {
+      continue;
+    }
     slot->EstimateSizeBatch(ids, slot_counts);
     for (size_t i = 0; i < ids.size(); ++i) {
       out[i] += slot_counts[i];
@@ -256,7 +266,7 @@ std::string WindowedTopK::name() const {
 size_t WindowedTopK::MemoryBytes() const {
   size_t total = 0;
   for (const auto& slot : slots_) {
-    total += slot->MemoryBytes();
+    total += slot != nullptr ? slot->MemoryBytes() : empty_slot_bytes_;
   }
   return total;
 }
@@ -274,7 +284,9 @@ bool WindowedTopK::SaveState(std::vector<uint8_t>* out) const {
   ByteAppend(*out, epoch_);
   ByteAppend(*out, in_epoch_);
   for (const auto& slot : slots_) {
-    const TopKAlgorithm& inner = *slot;
+    // An unbuilt slot saves as the fresh slot it stands for.
+    const std::unique_ptr<TopKAlgorithm> empty = slot == nullptr ? MakeSlot() : nullptr;
+    const TopKAlgorithm& inner = slot != nullptr ? *slot : *empty;
     const bool saved = ByteAppendSized(*out, [&inner](std::vector<uint8_t>& blob) {
       return inner.SaveState(&blob);
     });

@@ -15,7 +15,9 @@
 //     ring rotates: the completed slot's exact report goes to the optional
 //     epoch callback, and the oldest slot is rebuilt fresh to become the
 //     new current epoch - its old contents age out of every answer at
-//     that instant.
+//     that instant. A new ring builds only slot 0; slot i is first built
+//     when the ring advances into it, and until then it answers, counts
+//     toward MemoryBytes() and checkpoints exactly as a fresh slot.
 //   * Rotate() is also public so a capture-time driver (the TraceReplayer
 //     overload in ingest/trace_replayer.h, hk_cli ingest --window) can
 //     rotate on timestamps instead; one Rotate() per elapsed window keeps
@@ -169,7 +171,9 @@ class WindowedTopK : public TopKAlgorithm {
   SketchDefaults slot_defaults_;  // per-slot context (memory already / W)
   EpochCallback on_epoch_;
   std::string inner_name_;  // canonical inner spec, pinned at construction
+  // One slot per epoch; null until the ring first advances into it.
   std::vector<std::unique_ptr<TopKAlgorithm>> slots_;
+  size_t empty_slot_bytes_ = 0;  // MemoryBytes() of a freshly built slot
   // Report cache, one entry per slot: reports_[i] is slots_[i]->TopK(
   // report_depth_[i]), or stale when report_depth_[i] == kNoReport (always
   // so for the current slot). Mutable: the const queries fill it.

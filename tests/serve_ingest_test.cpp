@@ -7,6 +7,7 @@
 //     at two burst sizes;
 //   * consistent cuts - checkpoints taken while queries and ingest race
 //     hold a state equal to a direct insert of exactly the recorded prefix;
+//   * no starvation - back-to-back queries cannot stall ingest;
 //   * shutdown - DROP returns while the parse stage sleeps on a full ring.
 // Suite names start with ServeIngest so the TSan job's Ingest filter runs
 // them.
@@ -30,7 +31,6 @@
 #include "serve/checkpoint.h"
 #include "serve/serve_core.h"
 #include "sketch/registry.h"
-#include "telemetry/telemetry.h"
 #include "trace/generators.h"
 
 namespace hk {
@@ -284,12 +284,65 @@ TEST(ServeIngestRace, QueriesAndCheckpointsSeeConsistentCuts) {
   std::remove(caida_path.c_str());
 }
 
+// Four threads query one instance back to back. A windowed TOPK holds the
+// instance lock far longer than a thread spends between requests, so some
+// query is nearly always queued on it. Queries go first only
+// phase-fairly, so ingest must still drain; a deadline turns a starved
+// apply stage into a failure instead of a hang (the query threads stop at
+// it, which lets ingest finish). Today every query also holds the map lock
+// while it waits, so at most one waits at a time; the bound must not
+// depend on that.
+TEST(ServeIngestQueryFlood, DrainFinishesUnderBackToBackQueries) {
+  const std::string path = TempPath("serve_ingest_flood.pcap");
+  SynthesizeCapture(CampusConfig(200000, 13), path, CaptureSynthOptions{});
+  const Capture capture = ReadCapture(path, PcapKeyPolicy::kFiveTuple);
+
+  ServeOptions options;
+  options.defaults = Defaults(PcapKeyPolicy::kFiveTuple, 256 * 1024);
+  ServeCore core(options);
+  std::string err;
+  ASSERT_TRUE(core.Create("win", "Window:w=8,epoch=2000,inner=HK-Minimum", &err)) << err;
+
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(60);
+  std::atomic<bool> drained{false};
+  std::atomic<uint64_t> answered{0};
+  std::vector<std::thread> queriers;
+  for (int i = 0; i < 4; ++i) {
+    queriers.emplace_back([&] {
+      while (!drained.load() && Clock::now() < deadline) {
+        const std::string reply = core.Execute("TOPK win 32 window");
+        EXPECT_EQ(reply.rfind("ERR", 0), std::string::npos) << reply;
+        answered.fetch_add(1);
+      }
+    });
+  }
+  // Ingest starts under the flood.
+  while (answered.load() < 100 && Clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  SourceBinding binding;
+  binding.source = path;
+  EXPECT_TRUE(core.Attach("win", binding, &err)) << err;
+  core.DrainIngest();
+  const bool in_time = Clock::now() < deadline;
+  drained.store(true);
+  for (std::thread& querier : queriers) {
+    querier.join();
+  }
+  EXPECT_TRUE(in_time) << "ingest starved behind back-to-back queries";
+  EXPECT_EQ(core.PacketsApplied("win"), capture.ids.size());
+  std::remove(path.c_str());
+}
+
 // The apply stage is made slow (a 64-packet epoch rebuilds a 1 MB window
-// slot every 64 packets), so the parse stage fills the ring and sleeps on
-// it. DROP must wake it and return; the daemon keeps serving.
+// slot every 64 packets), so the parse stage, which needs a few
+// microseconds per burst, fills the ring and sleeps on it long before the
+// stream ends. DROP must wake it and return; the daemon keeps serving.
 TEST(ServeIngestDrop, ReturnsWhileParseStageWaitsOnFullRing) {
+  constexpr uint64_t kPackets = 200000;
   const std::string path = TempPath("serve_ingest_drop.pcap");
-  SynthesizeCapture(CampusConfig(60000, 5), path, CaptureSynthOptions{});
+  SynthesizeCapture(CampusConfig(kPackets, 5), path, CaptureSynthOptions{});
 
   ServeOptions options;
   options.defaults = Defaults(PcapKeyPolicy::kFiveTuple, 8 * 1024 * 1024);
@@ -297,24 +350,17 @@ TEST(ServeIngestDrop, ReturnsWhileParseStageWaitsOnFullRing) {
   ServeCore core(options);
   std::string err;
   ASSERT_TRUE(core.Create("slow", "Window:w=8,epoch=64,inner=HK-Minimum", &err)) << err;
-  telemetry::Registry& registry = telemetry::Registry::Get();
-  const uint64_t full_before = registry.SumCounter("hk_ingest_ring_full_total");
   SourceBinding binding;
   binding.source = path;
   ASSERT_TRUE(core.Attach("slow", binding, &err)) << err;
 
-  // With telemetry on, wait until the parse stage has actually slept on a
-  // full ring; otherwise give it the time a few bursts take.
-  if (telemetry::Registry::Enabled()) {
-    for (int i = 0; i < 5000 && registry.SumCounter("hk_ingest_ring_full_total") == full_before;
-         ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_GT(registry.SumCounter("hk_ingest_ring_full_total"), full_before);
-  } else {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Once the apply stage has started, give the parse stage time to fill
+  // the ring (8 bursts of 64 records).
+  for (int i = 0; i < 5000 && core.PacketsApplied("slow") == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_LT(core.PacketsApplied("slow"), 60000u) << "the stream ended before DROP";
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_LT(core.PacketsApplied("slow"), kPackets) << "the stream ended before DROP";
   ASSERT_TRUE(core.Drop("slow", &err)) << err;
   EXPECT_TRUE(core.InstanceNames().empty());
   EXPECT_EQ(core.Execute("PING"), "OK pong\n");

@@ -499,6 +499,66 @@ TEST(WindowAcceptanceTest, CaidaFixtureSlidingRecallAtLeastPoint9) {
 }
 
 // ---------------------------------------------------------------------------
+// A new ring builds only its first slot; the others are built when the ring
+// first advances into them. Until then each must act as a fresh slot: the
+// same answers, accounting and checkpoint bytes as a twin whose slots were
+// all built by LoadState.
+
+void ExpectSameAsBuiltTwin(WindowedTopK& ring, const TopKAlgorithm& twin,
+                           std::span<const FlowId> probes, const std::string& where) {
+  std::vector<uint8_t> ring_blob;
+  std::vector<uint8_t> twin_blob;
+  ASSERT_TRUE(ring.SaveState(&ring_blob)) << where;
+  ASSERT_TRUE(twin.SaveState(&twin_blob)) << where;
+  EXPECT_EQ(ring_blob, twin_blob) << where;
+  EXPECT_EQ(ring.MemoryBytes(), twin.MemoryBytes()) << where;
+  EXPECT_EQ(ring.TopK(kK), twin.TopK(kK)) << where;
+  std::vector<uint64_t> ring_counts(probes.size());
+  std::vector<uint64_t> twin_counts(probes.size());
+  ring.EstimateSizeBatch(probes, ring_counts);
+  twin.EstimateSizeBatch(probes, twin_counts);
+  EXPECT_EQ(ring_counts, twin_counts) << where;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(ring.EstimateSize(probes[i]), twin_counts[i]) << where << " id " << probes[i];
+  }
+}
+
+TEST(WindowLazySlotTest, UnbuiltSlotsActAsFreshSlots) {
+  for (const char* inner : {"HK-Minimum", "SS"}) {
+    WindowedTopKOptions options;
+    options.window_epochs = 8;
+    options.epoch_packets = 500;
+    options.inner_spec = inner;
+    const SketchDefaults defaults = TestDefaults();
+    WindowedTopK ring(options, defaults);
+    std::vector<uint8_t> blob;
+    ASSERT_TRUE(ring.SaveState(&blob));
+    auto twin = MakeSketch(ring.name(), defaults);
+    ASSERT_TRUE(twin->LoadState(blob.data(), blob.size())) << inner;
+
+    // Flow 1 is every third packet; the rest spread over flows 1..50.
+    std::vector<FlowId> ids;
+    for (size_t i = 0; i < 6000; ++i) {
+      ids.push_back(i % 3 == 0 ? 1 : 1 + i * 7919 % 50);
+    }
+    const std::vector<FlowId> probes = {1, 2, 3, 17, 49, 1000};
+    const std::string label(inner);
+    ExpectSameAsBuiltTwin(ring, *twin, probes, label + " fresh");
+    const std::span<const FlowId> all(ids);
+    // 1750 packets: three completed epochs, slots 4..7 still unbuilt; then
+    // past the wrap (6000 packets = 12 epochs), where every slot is built.
+    for (const size_t end : {size_t{1750}, ids.size()}) {
+      const size_t begin = ring.completed_epochs() * options.epoch_packets +
+                           ring.packets_in_current_epoch();
+      ring.InsertBatch(all.subspan(begin, end - begin));
+      twin->InsertBatch(all.subspan(begin, end - begin));
+      ExpectSameAsBuiltTwin(ring, *twin, probes, label + " after " + std::to_string(end));
+    }
+    EXPECT_EQ(ring.completed_epochs(), 12u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The per-slot report cache answers exactly what a cache-free ring would.
 
 // Snapshot and TopK of `ring` against a twin rebuilt from its SaveState at
