@@ -6,16 +6,6 @@
 #include "simd/hk_kernels.h"
 
 namespace hk {
-namespace {
-
-// Counter mask for the active word type; counter_bits_eff < bit-width of W
-// always holds (a 32-bit counter field forces the 8-byte word).
-template <typename W>
-constexpr W CounterMask(uint32_t counter_bits) {
-  return (static_cast<W>(1) << counter_bits) - 1;
-}
-
-}  // namespace
 
 HeavyKeeperConfig HeavyKeeperConfig::FromMemory(size_t bytes, size_t d, uint64_t seed) {
   HeavyKeeperConfig config;
@@ -141,72 +131,6 @@ void HeavyKeeper::NoteStuck() {
 }
 
 template <typename W>
-uint32_t HeavyKeeper::InsertParallelImpl(const Prepared& p, bool monitored, uint64_t nmin) {
-  W* const words = Words<W>();
-  const uint32_t cb = counter_bits_eff_;
-  const W cmask = CounterMask<W>(cb);
-  const W fpw = static_cast<W>(p.fp) << cb;
-  const uint32_t n = p.n;
-  uint32_t estimate = 0;
-  uint32_t immovable = 0;  // mapped buckets beyond the decay cutoff (Section III-F)
-
-  for (uint32_t j = 0; j < n; ++j) {
-    W& word = words[p.idx[j]];
-    const W cnt = word & cmask;
-    if (cnt == 0) {
-      // Case 1: empty bucket; the flow claims it.
-      word = fpw | static_cast<W>(1);
-      estimate = std::max(estimate, 1u);
-    } else if ((word ^ fpw) <= cmask) {
-      // Case 2 (fingerprint match in the high bits), gated by Optimization
-      // II (Algorithm 1, lines 11-14): an unmonitored flow may grow its
-      // counter up to nmin + 1 (so Theorem 1 admission at exactly nmin + 1
-      // can fire) but no further.
-      uint32_t c32 = static_cast<uint32_t>(cnt);
-      if (monitored || c32 <= nmin) {
-        if (c32 < counter_max_) {
-          word = word + 1;
-          ++c32;
-        }
-        estimate = std::max(estimate, c32);
-      }
-    } else {
-      // Case 3: exponential-weakening decay - one table load + compare.
-      const uint32_t c32 = static_cast<uint32_t>(cnt);
-      if (c32 >= decay_->cutoff()) {
-        ++immovable;
-      } else {
-        tm_decay_attempts_->Add();
-        if (decay_->ShouldDecay(c32, rng_)) {
-          tm_decay_success_->Add();
-          if (cnt == 1) {
-            word = fpw | static_cast<W>(1);
-            estimate = std::max(estimate, 1u);
-          } else {
-            word = word - 1;
-          }
-        }
-      }
-    }
-  }
-
-  if (estimate == 0 && immovable == n) {
-    NoteStuck();
-  }
-  return estimate;
-}
-
-uint32_t HeavyKeeper::InsertParallelPrepared(const Prepared& p, bool monitored,
-                                             uint64_t nmin) {
-  if (p.n != rows_) {
-    // The handle predates an expansion: re-address before mutating.
-    return InsertParallelPrepared(Prepare(p.id), monitored, nmin);
-  }
-  return wide() ? InsertParallelImpl<uint64_t>(p, monitored, nmin)
-                : InsertParallelImpl<uint32_t>(p, monitored, nmin);
-}
-
-template <typename W>
 uint32_t HeavyKeeper::InsertBasicWeightedImpl(const Prepared& p, uint32_t weight) {
   W* const words = Words<W>();
   const uint32_t cb = counter_bits_eff_;
@@ -282,82 +206,6 @@ uint32_t HeavyKeeper::InsertBasicWeighted(FlowId id, uint32_t weight) {
                 : InsertBasicWeightedImpl<uint32_t>(p, weight);
 }
 
-template <typename W>
-uint32_t HeavyKeeper::InsertMinimumImpl(const Prepared& p, bool monitored, uint64_t nmin) {
-  W* const words = Words<W>();
-  const uint32_t cb = counter_bits_eff_;
-  const W cmask = CounterMask<W>(cb);
-  const W fpw = static_cast<W>(p.fp) << cb;
-  const uint32_t n = p.n;
-
-  // Situation 1 (Algorithm 2, lines 10-15): a mapped bucket already holds
-  // this fingerprint and may be incremented.
-  int first_empty = -1;
-  int min_j = -1;
-  W min_count = 0;
-  for (uint32_t j = 0; j < n; ++j) {
-    W& word = words[p.idx[j]];
-    const W cnt = word & cmask;
-    if (cnt != 0 && (word ^ fpw) <= cmask) {
-      uint32_t c32 = static_cast<uint32_t>(cnt);
-      if (monitored || c32 <= nmin) {
-        if (c32 < counter_max_) {
-          word = word + 1;
-          ++c32;
-        }
-        return c32;
-      }
-      // Optimization II blocks this bucket; it is neither an empty slot nor
-      // a decay candidate (Algorithm 2 leaves it untouched).
-    } else if (cnt == 0) {
-      if (first_empty < 0) {
-        first_empty = static_cast<int>(j);
-      }
-    } else if (min_j < 0 || cnt < min_count) {
-      min_j = static_cast<int>(j);
-      min_count = cnt;
-    }
-  }
-
-  // Situation 2 (lines 25-28): claim the first empty mapped bucket.
-  if (first_empty >= 0) {
-    words[p.idx[first_empty]] = fpw | static_cast<W>(1);
-    return 1;
-  }
-
-  // Situation 3 (lines 30-35): minimum decay on the first smallest counter.
-  if (min_j >= 0) {
-    W& word = words[p.idx[min_j]];
-    const uint32_t c32 = static_cast<uint32_t>(min_count);
-    if (c32 >= decay_->cutoff()) {
-      NoteStuck();
-      return 0;
-    }
-    tm_decay_attempts_->Add();
-    if (decay_->ShouldDecay(c32, rng_)) {
-      tm_decay_success_->Add();
-      if (min_count == 1) {
-        word = fpw | static_cast<W>(1);
-        return 1;
-      }
-      word = word - 1;
-    }
-  }
-  return 0;
-}
-
-uint32_t HeavyKeeper::InsertMinimumPrepared(const Prepared& p, bool monitored,
-                                            uint64_t nmin) {
-  if (p.n != rows_) {
-    return InsertMinimumPrepared(Prepare(p.id), monitored, nmin);
-  }
-  if (ProbeEligible(p)) {
-    return InsertMinimumProbed(p, monitored, nmin);
-  }
-  return wide() ? InsertMinimumImpl<uint64_t>(p, monitored, nmin)
-                : InsertMinimumImpl<uint32_t>(p, monitored, nmin);
-}
-
 // One-shot vector Minimum insert: the kernel resolves Algorithm 2's three
 // situations in one gather + compare + horizontal min AND applies the
 // scalar-identical transition in the same call (simd::ApplyMinimumProbe) -
@@ -365,21 +213,20 @@ uint32_t HeavyKeeper::InsertMinimumPrepared(const Prepared& p, bool monitored,
 // coin is drawn inside the kernel but stays scalar and in packet order, so
 // the RNG stream matches the scalar path exactly; only NoteStuck() (which
 // may restructure the sketch) is applied here.
-uint32_t HeavyKeeper::InsertMinimumProbed(const Prepared& p, bool monitored, uint64_t nmin) {
+bool HeavyKeeper::InsertMinimumProbed(const Prepared& p, uint64_t nmin, int* blocked,
+                                      uint32_t* estimate) {
   const uint32_t cb = counter_bits_eff_;
-  const uint32_t gate =
-      monitored ? ~0u : static_cast<uint32_t>(std::min<uint64_t>(nmin, ~0u));
-  uint32_t estimate = 0;
+  const uint32_t gate = static_cast<uint32_t>(std::min<uint64_t>(nmin, ~0u));
   bool stuck = false;
   if (!simd::InsertMinimumVec(kernel_, Words<uint32_t>(), p.idx, p.n, p.fp << cb,
                               CounterMask<uint32_t>(cb), gate, counter_max_, *decay_, rng_,
-                              &estimate, &stuck)) {
-    return InsertMinimumImpl<uint32_t>(p, monitored, nmin);
+                              estimate, &stuck, blocked)) {
+    return false;
   }
   if (stuck) {
     NoteStuck();
   }
-  return estimate;
+  return true;
 }
 
 template <typename W>

@@ -45,9 +45,12 @@
 #ifndef HK_CORE_HEAVYKEEPER_H_
 #define HK_CORE_HEAVYKEEPER_H_
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/decay.h"
@@ -183,18 +186,34 @@ class HeavyKeeper {
     }
   }
 
-  uint32_t InsertBasicPrepared(const Prepared& p) {
-    return InsertParallelPrepared(p, /*monitored=*/true, /*nmin=*/0);
-  }
-  uint32_t InsertParallelPrepared(const Prepared& p, bool monitored, uint64_t nmin);
-  uint32_t InsertMinimumPrepared(const Prepared& p, bool monitored, uint64_t nmin);
-
   // --- insertion disciplines -------------------------------------------
   // `monitored` / `nmin` implement Optimization II's increment gate: a
   // matching bucket is incremented only when monitored || C <= nmin, which
   // caps an unmonitored flow's estimate at nmin + 1 - the exact admission
   // value Theorem 1 prescribes. Pass monitored=true to disable the gate
   // (Basic behaviour).
+  //
+  // `monitored` may also be a callable returning the membership bit. The
+  // transition then asks it only where the gate reads it - at a matching
+  // bucket whose counter exceeds nmin - so a pipeline pays its store lookup
+  // on those packets alone (HeavyKeeperTopK::InsertPrepared). It may be
+  // asked more than once per packet (Parallel), so it should memoize.
+  template <std::predicate Monitored>
+  uint32_t InsertParallelPrepared(const Prepared& p, Monitored&& monitored, uint64_t nmin);
+  template <std::predicate Monitored>
+  uint32_t InsertMinimumPrepared(const Prepared& p, Monitored&& monitored, uint64_t nmin);
+
+  // Constant membership: monitored == true is the gate held open, which is
+  // exactly nmin = UINT64_MAX for an untracked flow.
+  uint32_t InsertParallelPrepared(const Prepared& p, bool monitored, uint64_t nmin) {
+    return InsertParallelPrepared(p, NotMonitored{}, monitored ? kGateOpen : nmin);
+  }
+  uint32_t InsertMinimumPrepared(const Prepared& p, bool monitored, uint64_t nmin) {
+    return InsertMinimumPrepared(p, NotMonitored{}, monitored ? kGateOpen : nmin);
+  }
+  uint32_t InsertBasicPrepared(const Prepared& p) {
+    return InsertParallelPrepared(p, /*monitored=*/true, /*nmin=*/0);
+  }
   uint32_t InsertBasic(FlowId id) { return InsertBasicPrepared(Prepare(id)); }
   uint32_t InsertParallel(FlowId id, bool monitored, uint64_t nmin) {
     return InsertParallelPrepared(Prepare(id), monitored, nmin);
@@ -295,10 +314,23 @@ class HeavyKeeper {
     return reinterpret_cast<const W*>(slab_.data());
   }
 
+  // The membership callable of the constant-bool entry points.
+  struct NotMonitored {
+    bool operator()() const { return false; }
+  };
+  static constexpr uint64_t kGateOpen = ~0ULL;
+
+  // Counter mask for the active word type; counter_bits_eff_ < bit-width
+  // of W always holds (a 32-bit counter field forces the 8-byte word).
   template <typename W>
-  uint32_t InsertParallelImpl(const Prepared& p, bool monitored, uint64_t nmin);
-  template <typename W>
-  uint32_t InsertMinimumImpl(const Prepared& p, bool monitored, uint64_t nmin);
+  static constexpr W CounterMask(uint32_t counter_bits) {
+    return (static_cast<W>(1) << counter_bits) - 1;
+  }
+
+  template <typename W, typename Monitored>
+  uint32_t InsertParallelImpl(const Prepared& p, Monitored& monitored, uint64_t nmin);
+  template <typename W, typename Monitored>
+  uint32_t InsertMinimumImpl(const Prepared& p, Monitored& monitored, uint64_t nmin);
   template <typename W>
   uint32_t InsertBasicWeightedImpl(const Prepared& p, uint32_t weight);
   template <typename W>
@@ -308,11 +340,12 @@ class HeavyKeeper {
   template <typename W>
   uint32_t QueryImpl(const Prepared& p) const;
 
-  // Narrow-word epilogues over a vector probe (core/heavykeeper.cpp); the
-  // probe classifies the d mapped words in one gather+compare, the
-  // epilogue applies the scalar-identical transition (coins drawn here,
-  // never in the kernel).
-  uint32_t InsertMinimumProbed(const Prepared& p, bool monitored, uint64_t nmin);
+  // One-shot vector Minimum insert over the narrow words, gate = nmin for
+  // an untracked flow (core/heavykeeper.cpp). With `blocked` set, a packet
+  // whose first fingerprint match is over the gate leaves the sketch
+  // untouched and reports that lane, since membership alone decides it;
+  // false means no vector kernel ran.
+  bool InsertMinimumProbed(const Prepared& p, uint64_t nmin, int* blocked, uint32_t* estimate);
   uint32_t QueryPrepared(const Prepared& p) const;
 
   bool wide() const { return word_bytes_ == 8; }
@@ -353,6 +386,162 @@ class HeavyKeeper {
   telemetry::Counter* tm_stuck_events_;
   telemetry::Counter* tm_expansions_;
 };
+
+template <typename W, typename Monitored>
+uint32_t HeavyKeeper::InsertParallelImpl(const Prepared& p, Monitored& monitored, uint64_t nmin) {
+  W* const words = Words<W>();
+  const uint32_t cb = counter_bits_eff_;
+  const W cmask = CounterMask<W>(cb);
+  const W fpw = static_cast<W>(p.fp) << cb;
+  const uint32_t n = p.n;
+  uint32_t estimate = 0;
+  uint32_t immovable = 0;  // mapped buckets beyond the decay cutoff (Section III-F)
+
+  for (uint32_t j = 0; j < n; ++j) {
+    W& word = words[p.idx[j]];
+    const W cnt = word & cmask;
+    if (cnt == 0) {
+      // Case 1: empty bucket; the flow claims it.
+      word = fpw | static_cast<W>(1);
+      estimate = std::max(estimate, 1u);
+    } else if ((word ^ fpw) <= cmask) {
+      // Case 2 (fingerprint match in the high bits), gated by Optimization
+      // II (Algorithm 1, lines 11-14): an unmonitored flow may grow its
+      // counter up to nmin + 1 (so Theorem 1 admission at exactly nmin + 1
+      // can fire) but no further.
+      uint32_t c32 = static_cast<uint32_t>(cnt);
+      if (c32 <= nmin || monitored()) {
+        if (c32 < counter_max_) {
+          word = word + 1;
+          ++c32;
+        }
+        estimate = std::max(estimate, c32);
+      }
+    } else {
+      // Case 3: exponential-weakening decay - one table load + compare.
+      const uint32_t c32 = static_cast<uint32_t>(cnt);
+      if (c32 >= decay_->cutoff()) {
+        ++immovable;
+      } else {
+        tm_decay_attempts_->Add();
+        if (decay_->ShouldDecay(c32, rng_)) {
+          tm_decay_success_->Add();
+          if (cnt == 1) {
+            word = fpw | static_cast<W>(1);
+            estimate = std::max(estimate, 1u);
+          } else {
+            word = word - 1;
+          }
+        }
+      }
+    }
+  }
+
+  if (estimate == 0 && immovable == n) {
+    NoteStuck();
+  }
+  return estimate;
+}
+
+template <std::predicate Monitored>
+uint32_t HeavyKeeper::InsertParallelPrepared(const Prepared& p, Monitored&& monitored,
+                                             uint64_t nmin) {
+  if (p.n != rows_) {
+    // The handle predates an expansion: re-address before mutating.
+    return InsertParallelPrepared(Prepare(p.id), monitored, nmin);
+  }
+  return wide() ? InsertParallelImpl<uint64_t>(p, monitored, nmin)
+                : InsertParallelImpl<uint32_t>(p, monitored, nmin);
+}
+
+template <typename W, typename Monitored>
+uint32_t HeavyKeeper::InsertMinimumImpl(const Prepared& p, Monitored& monitored, uint64_t nmin) {
+  W* const words = Words<W>();
+  const uint32_t cb = counter_bits_eff_;
+  const W cmask = CounterMask<W>(cb);
+  const W fpw = static_cast<W>(p.fp) << cb;
+  const uint32_t n = p.n;
+
+  // Situation 1 (Algorithm 2, lines 10-15): a mapped bucket already holds
+  // this fingerprint and may be incremented.
+  int first_empty = -1;
+  int min_j = -1;
+  W min_count = 0;
+  for (uint32_t j = 0; j < n; ++j) {
+    W& word = words[p.idx[j]];
+    const W cnt = word & cmask;
+    if (cnt != 0 && (word ^ fpw) <= cmask) {
+      uint32_t c32 = static_cast<uint32_t>(cnt);
+      if (c32 <= nmin || monitored()) {
+        if (c32 < counter_max_) {
+          word = word + 1;
+          ++c32;
+        }
+        return c32;
+      }
+      // Optimization II blocks this bucket; it is neither an empty slot nor
+      // a decay candidate (Algorithm 2 leaves it untouched).
+    } else if (cnt == 0) {
+      if (first_empty < 0) {
+        first_empty = static_cast<int>(j);
+      }
+    } else if (min_j < 0 || cnt < min_count) {
+      min_j = static_cast<int>(j);
+      min_count = cnt;
+    }
+  }
+
+  // Situation 2 (lines 25-28): claim the first empty mapped bucket.
+  if (first_empty >= 0) {
+    words[p.idx[first_empty]] = fpw | static_cast<W>(1);
+    return 1;
+  }
+
+  // Situation 3 (lines 30-35): minimum decay on the first smallest counter.
+  if (min_j >= 0) {
+    W& word = words[p.idx[min_j]];
+    const uint32_t c32 = static_cast<uint32_t>(min_count);
+    if (c32 >= decay_->cutoff()) {
+      NoteStuck();
+      return 0;
+    }
+    tm_decay_attempts_->Add();
+    if (decay_->ShouldDecay(c32, rng_)) {
+      tm_decay_success_->Add();
+      if (min_count == 1) {
+        word = fpw | static_cast<W>(1);
+        return 1;
+      }
+      word = word - 1;
+    }
+  }
+  return 0;
+}
+
+template <std::predicate Monitored>
+uint32_t HeavyKeeper::InsertMinimumPrepared(const Prepared& p, Monitored&& monitored,
+                                            uint64_t nmin) {
+  if (p.n != rows_) {
+    return InsertMinimumPrepared(Prepare(p.id), monitored, nmin);
+  }
+  if (ProbeEligible(p)) {
+    // The kernel runs with the untracked flow's gate. Only a packet whose
+    // first fingerprint match is over it depends on membership; the kernel
+    // hands that one back untouched, so the lookup happens only there, and
+    // the packet re-runs under its definite gate (open when monitored).
+    constexpr bool kKnown = std::is_same_v<std::remove_cvref_t<Monitored>, NotMonitored>;
+    int blocked = -1;
+    uint32_t estimate = 0;
+    if (InsertMinimumProbed(p, nmin, kKnown ? nullptr : &blocked, &estimate)) {
+      if (blocked >= 0) {
+        InsertMinimumProbed(p, monitored() ? kGateOpen : nmin, nullptr, &estimate);
+      }
+      return estimate;
+    }
+  }
+  return wide() ? InsertMinimumImpl<uint64_t>(p, monitored, nmin)
+                : InsertMinimumImpl<uint32_t>(p, monitored, nmin);
+}
 
 }  // namespace hk
 

@@ -11,6 +11,19 @@
 //              from Theorem 1) and Optimization II (selective increment).
 //   Minimum  - Algorithm 2: minimum decay + the same two optimizations.
 //
+// Store lookups are deferred to where they can change something. With a
+// full store every tracked count is >= nmin and admission needs an
+// estimate > nmin (nmin + 1 under Optimization I), so a packet whose
+// estimate stays <= nmin touches no store entry whether or not its flow
+// is tracked; Optimization II reads the monitored bit only at a
+// fingerprint match above nmin. The sketch therefore runs first and takes
+// membership as a callable (HeavyKeeper::InsertMinimumPrepared), and the
+// store is looked up at most once per packet: on every packet while it has
+// room, else only where the gate reads it or the estimate exceeds nmin. The
+// lookups it skips could only have answered no-ops, so the state is
+// bit-identical to looking up every packet (tests/data/golden_pipelines.txt
+// pins it) - same transitions, same RNG draws, same store mutations.
+//
 // The scalar Insert(), the weighted insert, and the batch inserts all
 // funnel into one prepared-handle path (see HeavyKeeper::Prepare), so a
 // batched stream mutates exactly the state a scalar stream would; the
@@ -20,8 +33,8 @@
 //
 // The store backend is a template parameter so the `abl_topk_store`
 // ablation can swap backends without touching the logic. The default is
-// the lazy-threshold store (summary/lazy_topk.h): the monitored fast path
-// is one hash lookup plus a compare-only count raise, and the min-heap is
+// the lazy-threshold store (summary/lazy_topk.h): the monitored path is
+// one hash lookup plus a compare-only count raise, and the min-heap is
 // re-synced only when the threshold nmin itself may have moved - with
 // reports identical to the eager min-heap's up to eviction tie-breaks at
 // the minimum count.
@@ -393,33 +406,69 @@ class HeavyKeeperTopK : public TopKAlgorithm {
   static constexpr size_t kBatchChunk = 32;
   static constexpr size_t kPrefetchAhead = 16;
 
-  // One store lookup per packet: Find() yields the monitored bit and the
-  // raise slot together on stores that support it (the lazy default); the
-  // raise is then a compare-and-store, no heap maintenance. Duck-typed
-  // stores answer Contains() and return no slot. The slot stays valid only
-  // while the store is unmutated (FlowSlotMap relocation rules) - both
-  // insert paths below raise through it before any store change.
-  uint64_t* FindTracked(FlowId id, bool* monitored) {
+  // One store lookup: Find() yields the monitored bit and the raise slot
+  // together on stores that support it (the lazy default); the raise is
+  // then a compare-and-store, no heap maintenance. Duck-typed stores answer
+  // Contains() and return no slot. The slot stays valid only while the
+  // store is unmutated (FlowSlotMap relocation rules) - both insert paths
+  // below raise through it before any store change.
+  static uint64_t* FindTracked(Store& store, FlowId id, bool* monitored) {
     if constexpr (HasFindSlot<Store>) {
-      uint64_t* tracked = store_.Find(id);
+      uint64_t* tracked = store.Find(id);
       *monitored = tracked != nullptr;
       return tracked;
     } else {
-      *monitored = store_.Contains(id);
+      *monitored = store.Contains(id);
       return nullptr;
     }
   }
 
+  // A packet's store membership, looked up on first use and at most once.
+  // The sketch transitions take it as their Optimization II callable.
+  struct Membership {
+    Store& store;
+    FlowId id;
+    int state = -1;  // -1 until looked up, then the monitored bit
+    uint64_t* tracked = nullptr;
+
+    bool operator()() {
+      if (state < 0) {
+        bool monitored = false;
+        tracked = FindTracked(store, id, &monitored);
+        state = monitored ? 1 : 0;
+      }
+      return state != 0;
+    }
+  };
+
+  // nmin when reading it cannot change the store: the lazy store re-syncs
+  // a stale root inside MinCount(), which moves its eviction tie-breaks, so
+  // a caller that skips work must not add or drop such reads.
+  bool SettledMinCount(uint64_t* nmin) const {
+    if constexpr (requires { store_.SettledMinCount(nmin); }) {
+      return store_.SettledMinCount(nmin);
+    } else {
+      *nmin = store_.MinCount();
+      return true;
+    }
+  }
+
+  // Algorithms 1-2 with the store consulted only where it can matter (see
+  // the file comment): on a full store, an estimate <= nmin returns before
+  // any lookup unless the gate already asked for one.
   void InsertPrepared(const HeavyKeeper::Prepared& p) {
-    bool monitored;
-    uint64_t* tracked = FindTracked(p.id, &monitored);
-    uint64_t estimate = 0;
+    Membership monitored{store_, p.id};
+    const bool full = store_.Full();
     switch (version_) {
       case HkVersion::kBasic: {
-        estimate = sketch_.InsertBasicPrepared(p);
-        if (monitored) {
-          RaiseTracked(p.id, tracked, estimate);
-        } else if (!store_.Full()) {
+        const uint64_t estimate = sketch_.InsertBasicPrepared(p);
+        uint64_t nmin = 0;
+        if (full && SettledMinCount(&nmin) && estimate <= nmin) {
+          return;
+        }
+        if (monitored()) {
+          RaiseTracked(p.id, monitored.tracked, estimate);
+        } else if (!full) {
           if (estimate > 0) {
             store_.Insert(p.id, estimate);
           }
@@ -433,15 +482,18 @@ class HeavyKeeperTopK : public TopKAlgorithm {
         // While the store is not full every flow is admitted on its first
         // packet, so an unmonitored flow with a matching bucket can only
         // exist once the store is full; the gate then uses the true nmin.
-        const uint64_t nmin = store_.Full() ? store_.MinCount() : ~0ULL;
-        estimate = version_ == HkVersion::kParallel
-                       ? sketch_.InsertParallelPrepared(p, monitored, nmin)
-                       : sketch_.InsertMinimumPrepared(p, monitored, nmin);
-        if (monitored) {
-          RaiseTracked(p.id, tracked, estimate);  // Algorithm 1 line 22 (max-update)
-        } else if (!store_.Full()) {
+        const uint64_t nmin = full ? store_.MinCount() : ~0ULL;
+        const uint64_t estimate = version_ == HkVersion::kParallel
+                                      ? sketch_.InsertParallelPrepared(p, monitored, nmin)
+                                      : sketch_.InsertMinimumPrepared(p, monitored, nmin);
+        if (full && estimate <= nmin) {
+          return;
+        }
+        if (monitored()) {
+          RaiseTracked(p.id, monitored.tracked, estimate);  // Algorithm 1 line 22 (max-update)
+        } else if (!full) {
           store_.Insert(p.id, estimate);  // Algorithm 1 line 24, first clause
-        } else if (estimate == store_.MinCount() + 1) {
+        } else if (estimate == nmin + 1) {
           // Optimization I: Theorem 1 says a genuinely admitted flow reports
           // exactly nmin + 1; anything larger is a fingerprint collision.
           store_.ReplaceMin(p.id, estimate);
@@ -462,7 +514,7 @@ class HeavyKeeperTopK : public TopKAlgorithm {
 
   void InsertWeightedPrepared(const HeavyKeeper::Prepared& p, uint64_t weight) {
     bool monitored;
-    uint64_t* tracked = FindTracked(p.id, &monitored);
+    uint64_t* tracked = FindTracked(store_, p.id, &monitored);
     if (monitored) {
       // Monitored flow: the Optimization II gate is open, so when no decay
       // coin is reachable the whole weight collapses into O(d) updates -

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -43,12 +44,6 @@ bool ParseUint(const std::string& text, uint64_t* out, int base = 10) {
   }
   *out = value;
   return true;
-}
-
-std::string HexId(FlowId id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llx", static_cast<unsigned long long>(id));
-  return buf;
 }
 
 // Open the reader for a binding: "-" and "tcp://..." always stream,
@@ -412,6 +407,7 @@ void ServeCore::IngestLoop(Instance* inst) {
   if (!OpenSource(reader, inst->binding, &err)) {
     inst->ingest_error = err;
     inst->ingest_done.store(true, std::memory_order_release);
+    inst->ingest_done.notify_all();
     return;
   }
   std::vector<PacketRecord> records(std::max<size_t>(options_.ingest_batch, 1));
@@ -461,6 +457,7 @@ void ServeCore::IngestLoop(Instance* inst) {
     inst->ingest_error = reader.error();
   }
   inst->ingest_done.store(true, std::memory_order_release);
+  inst->ingest_done.notify_all();
 }
 
 void ServeCore::ParseLoop(Instance* inst, PcapReader* reader, std::span<PacketRecord> records,
@@ -531,9 +528,9 @@ void ServeCore::DrainIngest() {
     }
   }
   for (Instance* inst : attached) {
-    while (!inst->ingest_done.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    // Blocks on the flag itself: both stores of true notify, so a drain
+    // ends as soon as the apply stage exits.
+    inst->ingest_done.wait(false, std::memory_order_acquire);
   }
 }
 
@@ -794,9 +791,17 @@ std::string ServeCore::CmdTopK(const std::vector<std::string>& args) {
   }
   (result.consistency == ConsistencyLevel::kRelaxed ? tm_relaxed_queries_ : tm_exact_queries_)
       ->Add();
+  // "FLOW <hex id> <count>\n" lines, formatted in place into one buffer.
   std::string out;
+  out.reserve(result.flows.size() * 48 + 128);
+  char line[48] = "FLOW ";
+  char* const end = line + sizeof(line);
   for (const FlowCount& flow : result.flows) {
-    out += "FLOW " + HexId(flow.id) + " " + std::to_string(flow.count) + "\n";
+    char* p = std::to_chars(line + 5, end, flow.id, 16).ptr;
+    *p++ = ' ';
+    p = std::to_chars(p, end, flow.count).ptr;
+    *p++ = '\n';
+    out.append(line, p);
   }
   out += std::string("END consistency=") +
          (result.consistency == ConsistencyLevel::kRelaxed ? "relaxed" : "exact") +

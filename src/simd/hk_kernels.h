@@ -36,6 +36,8 @@ namespace simd {
 // below means exactly what the scalar scan's early-exit/first-hit logic
 // computes.
 struct MinimumProbe {
+  int first_match = -1;    // first lane with a fingerprint match, open or
+                           // blocked by the gate
   int open_match = -1;     // first lane with a fingerprint match whose
                            // counter passes the Optimization II gate
   uint32_t open_cnt = 0;   // that lane's counter field
@@ -59,10 +61,20 @@ bool ProbeMinimum(SimdKernel kernel, const uint32_t* words, const uint32_t* idx,
 // the scalar loop would). Inline here so each ISA's one-shot insert kernel
 // folds it into the same frame as its probe; `*stuck` reports the
 // immovable-rows outcome so the caller can run NoteStuck().
+//
+// `blocked_lane` non-null means the probe ran with an untracked flow's gate
+// but membership is not yet known. A monitored flow would take the first
+// match whatever its counter, so when that lane is over the gate the
+// transition depends on membership: report the lane and touch nothing. Any
+// other packet is decided without it.
 inline uint32_t ApplyMinimumProbe(uint32_t* words, const uint32_t* idx,
                                   const MinimumProbe& probe, uint32_t fpw,
                                   uint32_t counter_max, const DecayTable& decay, Rng& rng,
-                                  bool* stuck) {
+                                  bool* stuck, int* blocked_lane) {
+  if (blocked_lane != nullptr && probe.first_match != probe.open_match) {
+    *blocked_lane = probe.first_match;
+    return 0;
+  }
   if (probe.open_match >= 0) {
     uint32_t c32 = probe.open_cnt;
     if (c32 < counter_max) {
@@ -99,10 +111,12 @@ inline uint32_t ApplyMinimumProbe(uint32_t* words, const uint32_t* idx,
 // entirely in 128-bit registers. Same fallback contract as the probes:
 // false means "run the scalar loop". Defined below (inline, after the
 // per-ISA declarations) so the dispatch branch folds into the caller and
-// the packet costs exactly one call.
+// the packet costs exactly one call. `blocked_lane` is ApplyMinimumProbe's
+// deferral (nullptr: the gate is final).
 bool InsertMinimumVec(SimdKernel kernel, uint32_t* words, const uint32_t* idx, uint32_t n,
                       uint32_t fpw, uint32_t cmask, uint32_t gate, uint32_t counter_max,
-                      const DecayTable& decay, Rng& rng, uint32_t* estimate, bool* stuck);
+                      const DecayTable& decay, Rng& rng, uint32_t* estimate, bool* stuck,
+                      int* blocked_lane);
 
 // Vector point query over the n (4..8) mapped narrow words: max counter
 // among fingerprint-matching lanes. Same fallback contract as above.
@@ -123,7 +137,8 @@ uint32_t ProbeQueryAvx2(const uint32_t* words, const uint32_t* idx, uint32_t n, 
                         uint32_t cmask);
 uint32_t InsertMinimumAvx2(uint32_t* words, const uint32_t* idx, uint32_t n, uint32_t fpw,
                            uint32_t cmask, uint32_t gate, uint32_t counter_max,
-                           const DecayTable& decay, Rng& rng, bool* stuck);
+                           const DecayTable& decay, Rng& rng, bool* stuck,
+                           int* blocked_lane);
 size_t PrepareBatchAvx2(const SimdPrepareParams& params, const FlowId* ids, size_t n,
                         HeavyKeeper::Prepared* out);
 #endif
@@ -134,7 +149,8 @@ uint32_t ProbeQueryNeon(const uint32_t* words, const uint32_t* idx, uint32_t n, 
                         uint32_t cmask);
 uint32_t InsertMinimumNeon(uint32_t* words, const uint32_t* idx, uint32_t n, uint32_t fpw,
                            uint32_t cmask, uint32_t gate, uint32_t counter_max,
-                           const DecayTable& decay, Rng& rng, bool* stuck);
+                           const DecayTable& decay, Rng& rng, bool* stuck,
+                           int* blocked_lane);
 size_t PrepareBatchNeon(const SimdPrepareParams& params, const FlowId* ids, size_t n,
                         HeavyKeeper::Prepared* out);
 #endif
@@ -142,18 +158,18 @@ size_t PrepareBatchNeon(const SimdPrepareParams& params, const FlowId* ids, size
 inline bool InsertMinimumVec(SimdKernel kernel, uint32_t* words, const uint32_t* idx,
                              uint32_t n, uint32_t fpw, uint32_t cmask, uint32_t gate,
                              uint32_t counter_max, const DecayTable& decay, Rng& rng,
-                             uint32_t* estimate, bool* stuck) {
+                             uint32_t* estimate, bool* stuck, int* blocked_lane) {
 #if defined(__x86_64__) || defined(_M_X64)
   if (kernel == SimdKernel::kAvx2) {
-    *estimate =
-        InsertMinimumAvx2(words, idx, n, fpw, cmask, gate, counter_max, decay, rng, stuck);
+    *estimate = InsertMinimumAvx2(words, idx, n, fpw, cmask, gate, counter_max, decay, rng,
+                                  stuck, blocked_lane);
     return true;
   }
 #endif
 #if defined(__aarch64__)
   if (kernel == SimdKernel::kNeon) {
-    *estimate =
-        InsertMinimumNeon(words, idx, n, fpw, cmask, gate, counter_max, decay, rng, stuck);
+    *estimate = InsertMinimumNeon(words, idx, n, fpw, cmask, gate, counter_max, decay, rng,
+                                  stuck, blocked_lane);
     return true;
   }
 #endif
@@ -169,6 +185,7 @@ inline bool InsertMinimumVec(SimdKernel kernel, uint32_t* words, const uint32_t*
   (void)rng;
   (void)estimate;
   (void)stuck;
+  (void)blocked_lane;
   return false;
 }
 

@@ -133,6 +133,9 @@ HK_AVX2 void ProbeMinimumAvx2(const uint32_t* words, const uint32_t* idx, uint32
                               MinimumProbe* out) {
   const Classified c = Classify(words, idx, n, fpw, cmask);
   *out = MinimumProbe{};
+  if (c.match_mask != 0) {
+    out->first_match = __builtin_ctz(c.match_mask);
+  }
   // Situation 1: the scalar scan returns on its first gate-open match, so
   // nothing later in lane order can matter once open_mask is non-zero.
   const uint32_t open_mask =
@@ -188,7 +191,8 @@ HK_AVX2 inline __m128i GatherLanes4(const uint32_t* words, const uint32_t* idx) 
 
 HK_AVX2 uint32_t InsertMinimum4Avx2(uint32_t* words, const uint32_t* idx, uint32_t fpw,
                                     uint32_t cmask, uint32_t gate, uint32_t counter_max,
-                                    const DecayTable& decay, Rng& rng, bool* stuck) {
+                                    const DecayTable& decay, Rng& rng, bool* stuck,
+                                    int* blocked_lane) {
   const __m128i word = GatherLanes4(words, idx);
   const __m128i cmaskv = _mm_set1_epi32(static_cast<int>(cmask));
   const __m128i zero = _mm_setzero_si128();
@@ -203,6 +207,12 @@ HK_AVX2 uint32_t InsertMinimum4Avx2(uint32_t* words, const uint32_t* idx, uint32
   const __m128i gatev = _mm_set1_epi32(static_cast<int>(gate));
   const uint32_t open_mask =
       match_mask & LaneMask4(_mm_cmpeq_epi32(_mm_min_epu32(cnt, gatev), cnt));
+  // Membership pending and the first match over the gate: hand the lane
+  // back untouched (ApplyMinimumProbe's deferral).
+  if (blocked_lane != nullptr && (match_mask & (0u - match_mask) & ~open_mask) != 0) {
+    *blocked_lane = __builtin_ctz(match_mask);
+    return 0;
+  }
   alignas(16) uint32_t cnts[4];
   _mm_store_si128(reinterpret_cast<__m128i*>(cnts), cnt);
   if (open_mask != 0) {
@@ -251,15 +261,17 @@ HK_AVX2 uint32_t InsertMinimum4Avx2(uint32_t* words, const uint32_t* idx, uint32
 HK_AVX2 uint32_t InsertMinimumAvx2(uint32_t* words, const uint32_t* idx, uint32_t n,
                                    uint32_t fpw, uint32_t cmask, uint32_t gate,
                                    uint32_t counter_max, const DecayTable& decay, Rng& rng,
-                                   bool* stuck) {
+                                   bool* stuck, int* blocked_lane) {
   if (n == 4) {
-    return InsertMinimum4Avx2(words, idx, fpw, cmask, gate, counter_max, decay, rng, stuck);
+    return InsertMinimum4Avx2(words, idx, fpw, cmask, gate, counter_max, decay, rng, stuck,
+                              blocked_lane);
   }
   // Expanded sketches (n in 5..8): the 256-bit probe inlines here (same TU,
   // same target), so the struct round-trip stays in registers.
   MinimumProbe probe;
   ProbeMinimumAvx2(words, idx, n, fpw, cmask, gate, &probe);
-  return ApplyMinimumProbe(words, idx, probe, fpw, counter_max, decay, rng, stuck);
+  return ApplyMinimumProbe(words, idx, probe, fpw, counter_max, decay, rng, stuck,
+                           blocked_lane);
 }
 
 HK_AVX2 uint32_t ProbeQueryAvx2(const uint32_t* words, const uint32_t* idx, uint32_t n,

@@ -87,6 +87,9 @@ void ProbeMinimumNeon(const uint32_t* words, const uint32_t* idx, uint32_t n, ui
   open_mask &= lanemask;
 
   *out = MinimumProbe{};
+  if (match_mask != 0) {
+    out->first_match = __builtin_ctz(match_mask);
+  }
   if (open_mask != 0) {
     out->open_match = __builtin_ctz(open_mask);
     out->open_cnt = cnts[out->open_match];
@@ -123,12 +126,14 @@ void ProbeMinimumNeon(const uint32_t* words, const uint32_t* idx, uint32_t n, ui
 
 uint32_t InsertMinimumNeon(uint32_t* words, const uint32_t* idx, uint32_t n, uint32_t fpw,
                            uint32_t cmask, uint32_t gate, uint32_t counter_max,
-                           const DecayTable& decay, Rng& rng, bool* stuck) {
+                           const DecayTable& decay, Rng& rng, bool* stuck,
+                           int* blocked_lane) {
   // Probe and transition in one call per packet (the probe inlines - same
   // TU); the coin draw stays scalar and in packet order, as everywhere.
   MinimumProbe probe;
   ProbeMinimumNeon(words, idx, n, fpw, cmask, gate, &probe);
-  return ApplyMinimumProbe(words, idx, probe, fpw, counter_max, decay, rng, stuck);
+  return ApplyMinimumProbe(words, idx, probe, fpw, counter_max, decay, rng, stuck,
+                           blocked_lane);
 }
 
 uint32_t ProbeQueryNeon(const uint32_t* words, const uint32_t* idx, uint32_t n, uint32_t fpw,

@@ -1,11 +1,15 @@
 // Lazy-threshold top-k candidate store.
 //
-// The HeavyKeeper pipelines query the store on every packet (Step 1 of both
-// insertion algorithms: "is flow fi monitored?") and raise a monitored
-// flow's count on most of them. An eagerly maintained min-heap pays a hash
-// lookup plus an O(log k) sift for every raise, even though the only value
-// the algorithms ever need from the heap is nmin - and nmin moves only when
-// the *minimum* flow's count changes or a new flow is admitted.
+// Both insertion algorithms open with "is flow fi monitored?". The
+// HeavyKeeper pipelines ask the store that only where the answer can
+// matter (HeavyKeeperTopK::InsertPrepared): once the store is full a
+// packet whose estimate stays <= nmin can neither raise a tracked count
+// (all are >= nmin) nor be admitted (that needs > nmin), so mice skip the
+// lookup, and an elephant's packets pay one Find() and usually a raise.
+// An eagerly maintained min-heap pays a hash lookup plus an O(log k) sift
+// for every raise, even though the only value the algorithms ever need
+// from the heap is nmin - and nmin moves only when the *minimum* flow's
+// count changes or a new flow is admitted.
 //
 // LazyTopKStore keeps the authoritative counts in a flat hash map and lets
 // the heap go stale: Raise() is a compare-and-store (the monitored fast
@@ -191,6 +195,16 @@ class LazyTopKStore {
   uint64_t MinCount() const {
     FixRoot();
     return heap_.empty() ? 0 : heap_[0].count;
+  }
+
+  // MinCount() when reading it would not re-sync the heap (the root is not
+  // stale), so skipping the read leaves the store exactly as it was.
+  bool SettledMinCount(uint64_t* nmin) const {
+    if (root_stale_) {
+      return false;
+    }
+    *nmin = heap_.empty() ? 0 : heap_[0].count;
+    return true;
   }
 
   // Insert a new flow. Pre: !Contains(id) && !Full().
