@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "concurrent/concurrent_topk.h"
 #include "ingest/byte_source.h"
 #include "serve/net.h"
 #include "shard/sharded_topk.h"
@@ -87,12 +86,9 @@ bool OpenSource(PcapReader& reader, const SourceBinding& binding, std::string* e
 }
 
 // True when Snapshot(kRelaxed) may run on a query thread while the ingest
-// thread inserts, so TOPK ... relaxed can skip the instance lock: the
-// shared-slab front-end and the threaded sharded one.
+// thread inserts, so TOPK ... relaxed can skip the instance lock: only the
+// threaded sharded front-end.
 bool RelaxedCapable(const TopKAlgorithm* algo) {
-  if (dynamic_cast<const ConcurrentTopK*>(algo) != nullptr) {
-    return true;
-  }
   const auto* sharded = dynamic_cast<const ShardedTopK*>(algo);
   return sharded != nullptr && sharded->threaded();
 }

@@ -66,11 +66,10 @@
 // already waiting but not to ones that come later. Lock order: map_mu_,
 // then the instance mutex; the apply stage takes only the instance mutex
 // and the ring's, never both at once, and the parse stage takes only the
-// ring's. A TOPK ... relaxed on a Concurrent front-end or a threaded
-// Sharded one bypasses the lock entirely (Snapshot(kRelaxed)):
-// Concurrent reads the live shared slab, Sharded
-// merges the reports its workers post at their next burst boundary.
-// Either way the query answers while the apply stage keeps inserting. For
+// ring's. A TOPK ... relaxed on a threaded Sharded front-end bypasses the
+// lock entirely (Snapshot(kRelaxed)): it merges the reports its workers
+// post at their next burst boundary, so the query answers while the apply
+// stage keeps inserting. For
 // every other algorithm "relaxed" degrades to a (brief) lock + exact
 // snapshot, and the response says which consistency was delivered.
 //

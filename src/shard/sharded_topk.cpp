@@ -38,15 +38,6 @@ ShardedTopK::ShardedTopK(const ShardedTopKOptions& options, const SketchDefaults
   if (inner_head == "Sharded") {
     throw std::invalid_argument("ShardedTopK: inner= must not itself be Sharded");
   }
-  // The concurrent front-end shares one slab across threads; hiding it
-  // behind a partitioner would stack two threading models on one stream.
-  // Pick one: Sharded:n=N for partitioned slabs, Concurrent:threads=N for
-  // a shared one.
-  if (inner_head == "Concurrent") {
-    throw std::invalid_argument(
-        "ShardedTopK: inner= must not be Concurrent (compose one front-end per "
-        "stream; use Sharded:n=N or Concurrent:threads=N, not both)");
-  }
   // Epoch rotation must be stream-global: per-shard rings would rotate on
   // per-shard packet counts, desynchronizing the windows. Window outside,
   // shard inside: "Window:...,inner=Sharded:n=N,inner=...".

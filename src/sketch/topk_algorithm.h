@@ -56,19 +56,13 @@ namespace hk {
 //              as if the stream were quiesced: Flush() semantics, then a
 //              stable read. Synchronous algorithms always deliver this.
 //   kRelaxed - the report was taken while inserts may still be in flight.
-//              Two front-ends deliver it:
-//                * concurrent/ shared-slab mode reads the live slab: every
-//                  value read is a whole word (per-word-atomic loads - no
-//                  torn counters) and every reported estimate is a
-//                  monotone lower bound of some state the flow's counter
-//                  passed through;
-//                * threaded shard/ mode asks each worker for its shard's
-//                  report at the worker's next burst boundary: each
-//                  shard's part is an exact read of a prefix of that
-//                  shard's stream, and queued packets are not waited for.
-//              Both: no flow appears twice, and there is no cross-flow
-//              ordering - two flows' counts may reflect different prefixes
-//              of the stream.
+//              The threaded shard/ front-end delivers it by asking each
+//              worker for its shard's report at the worker's next burst
+//              boundary: each shard's part is an exact read of a prefix of
+//              that shard's stream, and queued packets are not waited for.
+//              No flow appears twice, and there is no cross-flow ordering -
+//              two flows' counts may reflect different prefixes of the
+//              stream.
 enum class ConsistencyLevel { kExact, kRelaxed };
 
 // What to ask of Snapshot().
@@ -136,9 +130,6 @@ class TopKAlgorithm {
   //     no-op.
   //   * The sharded front-end (shard/sharded_topk.h) waits until its worker
   //     threads have drained all queued packets.
-  //   * The concurrent shared-slab mode (concurrent/concurrent_topk.h)
-  //     drains its rings, then issues a seq_cst fence so every slab and
-  //     candidate-store word written by the workers is published.
   //
   // After Flush() returns (and absent further inserts), Snapshot() returns
   // the kExact flows whatever was requested; a threaded front-end still
@@ -152,7 +143,7 @@ class TopKAlgorithm {
   // preferred query surface: it states what the numbers mean while inserts
   // may be racing (QueryResult::consistency) instead of leaving it to
   // convention. The default wraps Flush() + TopK(), which is exact for
-  // every synchronous algorithm; Sharded and Concurrent override it.
+  // every synchronous algorithm; Sharded overrides it.
   virtual QueryResult Snapshot(const QueryOptions& options = {}) {
     Flush();
     QueryResult result;

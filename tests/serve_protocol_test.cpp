@@ -200,10 +200,6 @@ void ExpectRelaxedMidIngestThenExact(const std::string& spec) {
   }
 }
 
-TEST(ServeProtocol, RelaxedTopKOnConcurrentInstance) {
-  ExpectRelaxedMidIngestThenExact("Concurrent:inner=HK-Basic");
-}
-
 // The shard workers answer between bursts, without the instance lock and
 // without draining their rings.
 TEST(ServeProtocol, RelaxedTopKOnShardedInstance) {

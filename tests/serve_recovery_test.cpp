@@ -278,6 +278,29 @@ TEST(ServeRecovery, TornManifestIsRejectedNotHalfLoaded) {
   std::remove(ckpt.c_str());
 }
 
+TEST(ServeRecovery, UnregisteredSpecIsRefusedNamingTheInstance) {
+  // A checkpoint written by a build that had a front-end this one lacks
+  // (the removed shared-slab "Concurrent", say) is refused as a whole, and
+  // the error says which instance could not be rebuilt.
+  const std::string ckpt = TempPath("reco_unregistered.hk");
+  CheckpointManifest manifest;
+  CheckpointInstance entry;
+  entry.name = "edge";
+  entry.spec = "Concurrent";
+  entry.state = {1, 2, 3};
+  manifest.instances.push_back(entry);
+  std::string err;
+  ASSERT_TRUE(WriteCheckpointAtomic(ckpt, manifest, &err)) << err;
+
+  ServeCore revived(OptionsWithCheckpoint(ckpt));
+  size_t recovered = 0;
+  EXPECT_FALSE(revived.Recover(&recovered, &err));
+  EXPECT_NE(err.find("instance 'edge'"), std::string::npos) << err;
+  EXPECT_EQ(recovered, 0u);
+  EXPECT_TRUE(revived.InstanceNames().empty());
+  std::remove(ckpt.c_str());
+}
+
 TEST(ServeRecovery, MissingCheckpointIsAFreshStart) {
   ServeCore core(OptionsWithCheckpoint(TempPath("reco_never_written.hk")));
   size_t recovered = 99;
@@ -389,7 +412,7 @@ TEST(ServeRecovery, QueriesStayCorrectWhileIngestRuns) {
   ServeOptions options = OptionsWithCheckpoint(TempPath("reco_live.hk"));
   options.defaults.memory_bytes = 64 * 1024;
   ServeCore core(options);
-  ASSERT_EQ(core.Execute("CREATE live Concurrent:inner=HK-Basic"), "OK created live\n");
+  ASSERT_EQ(core.Execute("CREATE live Sharded:n=2,threads=1,inner=HK-Basic"), "OK created live\n");
   ASSERT_EQ(core.Execute("ATTACH live " + fx.path), "OK attached live\n");
 
   // While the ingest thread inserts, relaxed snapshots must stay

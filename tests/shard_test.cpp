@@ -399,6 +399,23 @@ TEST(ShardedStressTest, FlushFromProducerMakesAllInsertsVisible) {
   EXPECT_EQ(algo->EstimateSize(42), 5'000u);
 }
 
+TEST(ShardedStressTest, StoreSideSentinelIdsAreFirstClassFlows) {
+  // Flow ids 0 and ~0 collide with the store's empty/tombstone encodings
+  // and live in side slots; they must survive tracking and raising on
+  // whichever worker owns them.
+  auto algo = MakeSketch("Sharded:n=2,threads=1,inner=HK-Minimum:cb=32", TestDefaults());
+  std::vector<FlowId> ids;
+  for (int i = 0; i < 3'000; ++i) {
+    ids.push_back(FlowId{0});
+    ids.push_back(~FlowId{0});
+    ids.push_back(static_cast<FlowId>(1 + (i % 7)));
+  }
+  algo->InsertBatch(ids);
+  algo->Flush();
+  EXPECT_EQ(algo->EstimateSize(FlowId{0}), 3'000u);
+  EXPECT_EQ(algo->EstimateSize(~FlowId{0}), 3'000u);
+}
+
 // --- relaxed snapshots (threaded mode) -------------------------------------
 
 // True when `flows` is a well-formed report: at most k entries, ordered by
