@@ -2,7 +2,7 @@
 //
 // The shard layer's value proposition is multi-core scale-out: N workers
 // each run the HeavyKeeper batch fast path on a disjoint key slice while
-// the producer only hashes the partition and pushes into SPSC rings. This
+// the producer only hashes the partition and fills burst-ring slots. This
 // bench streams a deep-tail Zipf workload through
 //
 //   sharded/insert/single      the unsharded inner, producer-thread only

@@ -8,14 +8,15 @@
 // Traffic is ECMP-sharded across three simulated switches. Each switch
 // serializes its sketch (as a deployment would ship it over the wire); the
 // collector deserializes, pulls each report, and sum-combines the disjoint
-// views. The combined top-20 is scored against global ground truth.
+// views (MergeTopK's kSumById; overlapping views would take kMaxById). The
+// combined top-20 is scored against global ground truth.
 #include <cstdio>
 #include <vector>
 
-#include "core/collector.h"
 #include "core/hk_topk.h"
 #include "core/serialization.h"
 #include "metrics/accuracy.h"
+#include "shard/merge.h"
 #include "trace/generators.h"
 #include "trace/oracle.h"
 
@@ -65,7 +66,7 @@ int main() {
   for (const auto& sw : switches) {
     reports.push_back(sw->TopK(2 * kK));
   }
-  const auto combined = CombineReports(reports, kK, CombinePolicy::kSum);
+  const auto combined = MergeTopK(reports, kK, MergeMode::kSumById);
   const auto accuracy = EvaluateTopK(combined, oracle, kK);
 
   std::printf("\nnetwork-wide top-%zu (combined from disjoint views):\n", kK);

@@ -264,10 +264,8 @@ class HeavyKeeperTopK : public TopKAlgorithm {
   uint64_t EstimateSize(FlowId id) const override {
     // Prefer the tracked value (kept as a running max); fall back to the
     // sketch for untracked flows.
-    if (store_.Contains(id)) {
-      return store_.Value(id);
-    }
-    return sketch_.Query(id);
+    uint64_t tracked = 0;
+    return ReadTracked(id, &tracked) ? tracked : sketch_.Query(id);
   }
 
   // Vectorized rescore: batch-hash and batch-probe the sketch, then patch
@@ -277,9 +275,7 @@ class HeavyKeeperTopK : public TopKAlgorithm {
   void EstimateSizeBatch(std::span<const FlowId> ids, std::span<uint64_t> out) const override {
     sketch_.QueryBatch(ids.data(), ids.size(), out.data());
     for (size_t i = 0; i < ids.size(); ++i) {
-      if (store_.Contains(ids[i])) {
-        out[i] = store_.Value(ids[i]);
-      }
+      ReadTracked(ids[i], &out[i]);
     }
   }
 
@@ -420,6 +416,26 @@ class HeavyKeeperTopK : public TopKAlgorithm {
     } else {
       *monitored = store.Contains(id);
       return nullptr;
+    }
+  }
+
+  // The tracked count of `id` into *value, if the store tracks it: one
+  // Find() probe on stores that have it, Contains() then Value() on
+  // duck-typed ones.
+  bool ReadTracked(FlowId id, uint64_t* value) const {
+    if constexpr (HasFindSlot<Store>) {
+      const uint64_t* tracked = store_.Find(id);
+      if (tracked == nullptr) {
+        return false;
+      }
+      *value = *tracked;
+      return true;
+    } else {
+      if (!store_.Contains(id)) {
+        return false;
+      }
+      *value = store_.Value(id);
+      return true;
     }
   }
 

@@ -1,12 +1,12 @@
 #include "ovs/pipeline.h"
 
 #include <algorithm>
-#include <span>
 #include <thread>
+#include <utility>
 
+#include "common/burst_ring.h"
 #include "common/timer.h"
 #include "common/zipf.h"
-#include "ovs/spsc_ring.h"
 #include "trace/generators.h"
 
 namespace hk {
@@ -14,7 +14,7 @@ namespace hk {
 PipelineResult RunPipelines(const std::vector<RawPacket>& packets, const AlgorithmFactory& make,
                             const PipelineConfig& config) {
   // Each pipeline needs a datapath thread plus its measurement threads;
-  // oversubscribing a small host with spinning threads only measures the
+  // oversubscribing a small host with busy threads only measures the
   // scheduler, so scale down to the hardware (the paper's testbed runs 4
   // pipelines on 24 threads). Pipeline 0's algorithm is built first so its
   // own worker-thread count (threaded sharded consumers) feeds the clamp -
@@ -24,19 +24,23 @@ PipelineResult RunPipelines(const std::vector<RawPacket>& packets, const Algorit
   const size_t hw =
       std::max<size_t>(std::thread::hardware_concurrency() / threads_per_pipeline, 1);
   const size_t n = std::max<size_t>(std::min(config.num_pipelines, hw), 1);
-  std::vector<std::unique_ptr<SpscRing<FlowId>>> rings;
+  // Each ring slot carries one datapath burst of flow ids; ring_capacity
+  // ids in flight make ring_capacity / kBurst slots, at least two.
+  constexpr size_t kBurst = 256;
+  const size_t slots = std::max<size_t>(config.ring_capacity / kBurst, 2);
+  std::vector<std::unique_ptr<BurstRing<std::vector<FlowId>>>> rings;
   std::vector<std::unique_ptr<SimulatedDatapath>> datapaths;
   std::vector<TopKAlgorithm*> algorithms;
+  std::vector<uint64_t> applied(n, 0);
   rings.reserve(n);
   datapaths.reserve(n);
   algorithms.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    rings.push_back(std::make_unique<SpscRing<FlowId>>(config.ring_capacity));
+    rings.push_back(std::make_unique<BurstRing<std::vector<FlowId>>>(
+        slots, slots / 2, [](std::vector<FlowId>& ids) { ids.reserve(kBurst); }));
     datapaths.push_back(std::make_unique<SimulatedDatapath>(config.cache_slots));
     algorithms.push_back(i == 0 ? first : (make ? make(i) : nullptr));
   }
-
-  constexpr FlowId kEndOfStream = 0;  // real ids are full-width hashes, never 0
 
   WallTimer timer;
   std::vector<std::thread> threads;
@@ -44,56 +48,31 @@ PipelineResult RunPipelines(const std::vector<RawPacket>& packets, const Algorit
   for (size_t i = 0; i < n; ++i) {
     threads.emplace_back([&, i] {
       SimulatedDatapath& dp = *datapaths[i];
-      SpscRing<FlowId>& ring = *rings[i];
-      // Parse + cache-lookup a burst at a time, then publish it; the
-      // batched datapath keeps the producer's tight loop in cache while
-      // the ring applies back-pressure per packet.
-      constexpr size_t kProduceBatch = 256;
-      FlowId ids[kProduceBatch];
-      for (size_t base = 0; base < packets.size(); base += kProduceBatch) {
-        const size_t m = std::min(kProduceBatch, packets.size() - base);
-        dp.ProcessBatch(packets.data() + base, m, ids);
-        for (size_t j = 0; j < m; ++j) {
-          FlowId id = ids[j];
-          if (id == kEndOfStream) {
-            id = 1;  // avoid colliding with the sentinel
-          }
-          while (!ring.TryPush(id)) {
-            // Ring full: the measurement consumer back-pressures the datapath.
-            std::this_thread::yield();
-          }
-        }
+      BurstRing<std::vector<FlowId>>& ring = *rings[i];
+      // Parse + cache-lookup a burst at a time straight into a ring slot;
+      // a full ring puts the datapath to sleep (the measurement consumer
+      // back-pressures it) until half of it has drained.
+      for (size_t base = 0; base < packets.size(); base += kBurst) {
+        const size_t m = std::min(kBurst, packets.size() - base);
+        std::vector<FlowId>* ids = ring.AcquireFree();  // never closed
+        ids->resize(m);
+        dp.ProcessBatch(packets.data() + base, m, ids->data());
+        ring.Publish();
       }
-      while (!ring.TryPush(kEndOfStream)) {
-        std::this_thread::yield();
-      }
+      ring.Finish();
     });
     threads.emplace_back([&, i] {
-      SpscRing<FlowId>& ring = *rings[i];
+      BurstRing<std::vector<FlowId>>& ring = *rings[i];
       TopKAlgorithm* algo = algorithms[i];
-      // Drain in bursts: one InsertBatch per drain lets the measurement
-      // algorithm amortize hashing and prefetch its buckets while the
-      // datapath keeps filling the ring.
-      constexpr size_t kDrainBatch = 256;
-      FlowId batch[kDrainBatch];
-      bool done = false;
-      while (!done) {
-        size_t n = 0;
-        FlowId id;
-        while (n < kDrainBatch && ring.TryPop(&id)) {
-          if (id == kEndOfStream) {
-            done = true;
-            break;
-          }
-          batch[n++] = id;
+      // One InsertBatch per slot lets the measurement algorithm amortize
+      // hashing and prefetch its buckets while the datapath keeps filling
+      // the ring.
+      while (const std::vector<FlowId>* ids = ring.AcquireFull()) {
+        if (algo != nullptr) {
+          algo->InsertBatch(*ids);
         }
-        if (n > 0) {
-          if (algo != nullptr) {
-            algo->InsertBatch(std::span<const FlowId>(batch, n));
-          }
-        } else if (!done) {
-          std::this_thread::yield();
-        }
+        applied[i] += ids->size();
+        ring.Release();
       }
       if (algo != nullptr) {
         // A concurrent consumer (threaded ShardedTopK) may still hold
@@ -109,7 +88,10 @@ PipelineResult RunPipelines(const std::vector<RawPacket>& packets, const Algorit
 
   PipelineResult result;
   result.seconds = timer.ElapsedSeconds();
-  result.packets = static_cast<uint64_t>(packets.size()) * n;
+  for (const uint64_t count : applied) {
+    result.packets += count;
+  }
+  result.applied = std::move(applied);
   result.mps = Mps(result.packets, result.seconds);
   result.pipelines = n;
   if (config.snapshot_k > 0) {

@@ -1,17 +1,20 @@
 // End-to-end measurement pipeline over the simulated OVS deployment
 // (Section VII-B): per pipeline, a datapath (producer) thread parses and
-// forwards packets, publishing flow IDs into the shared-memory ring; a
-// user-space (consumer) thread drains the ring into a measurement
-// algorithm. Several pipelines run in parallel (the paper uses 4 threads);
-// throughput is total packets over wall time. When the consumer is slower
-// than the datapath the ring fills and back-pressures the datapath - the
-// effect Figure 34 quantifies per algorithm.
+// forwards packets a burst at a time, writing the flow IDs straight into a
+// slot of the shared-memory ring (common/burst_ring.h); a user-space
+// (consumer) thread applies each slot to a measurement algorithm with one
+// InsertBatch. Finish() ends the stream, so every flow id, 0 included, is
+// an ordinary value. Several pipelines run in parallel (the paper uses 4
+// threads); throughput is applied packets over wall time. When the
+// consumer is slower than the datapath the ring fills and the datapath
+// sleeps until half of it has drained - the back-pressure Figure 34
+// quantifies per algorithm.
 //
 // Scale-out (1 -> N consumers): hand the factory a threaded
 // ShardedTopK ("Sharded:n=8,threads=1,inner=..."; shard/sharded_topk.h).
-// The pipeline's consumer thread then becomes a scatter stage - it drains
-// the datapath ring in bursts and InsertBatch() fans the burst out to the
-// per-shard rings, where N worker threads run the sketches. The consumer
+// The pipeline's consumer thread then becomes a scatter stage - its
+// InsertBatch() fans each slot out to the per-shard rings, where N worker
+// threads run the sketches. The consumer
 // Flush()es at end-of-stream inside the timed region, so reported
 // throughput covers every applied packet. The hardware clamp asks the
 // algorithm for its worker-thread count (TopKAlgorithm::WorkerThreads),
@@ -32,10 +35,11 @@ namespace hk {
 struct PipelineConfig {
   // Requested pipelines (paper: 4). Clamped at run time so that
   // num_pipelines * (producer + consumer + the algorithm's own worker
-  // threads) stays within the hardware: oversubscribed spinning threads
+  // threads) stays within the hardware: oversubscribed busy threads
   // measure the scheduler, not the sketch.
   size_t num_pipelines = 4;
-  size_t ring_capacity = 4096;   // flow-id slots in shared memory
+  // Flow ids in flight in shared memory, in 256-id bursts (two at least).
+  size_t ring_capacity = 4096;
   size_t cache_slots = 1 << 16;  // datapath exact-match cache
   // >0: after the timed run, take a Snapshot(k) from every measuring
   // pipeline and return them in PipelineResult::reports. The consumers
@@ -47,8 +51,9 @@ struct PipelineConfig {
 struct PipelineResult {
   double seconds = 0.0;
   double mps = 0.0;  // aggregate packets per second (millions)
-  uint64_t packets = 0;
+  uint64_t packets = 0;  // sum of `applied`
   size_t pipelines = 0;  // actually used after the hardware clamp
+  std::vector<uint64_t> applied;     // packets each pipeline's consumer applied
   std::vector<QueryResult> reports;  // one per pipeline when snapshot_k > 0
 };
 

@@ -1,11 +1,9 @@
 #include "serve/serve_core.h"
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -13,6 +11,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/burst_ring.h"
 #include "ingest/byte_source.h"
 #include "serve/net.h"
 #include "shard/sharded_topk.h"
@@ -107,8 +106,9 @@ uint64_t MalformedFrames(const IngestStats& s) {
 
 }  // namespace
 
-// Parse stage -> apply stage handoff ring: bursts in stream order.
-constexpr uint32_t kIngestRingBursts = 8;
+// Parse stage -> apply stage handoff (common/burst_ring.h): bursts in
+// stream order.
+constexpr uint32_t kIngestSlots = 8;
 
 // One parsed burst: what the apply stage inserts and accounts for.
 struct IngestBurst {
@@ -117,94 +117,6 @@ struct IngestBurst {
   uint64_t wire_bytes = 0;
   uint64_t malformed = 0;       // frames skipped while this burst was parsed
   uint64_t source_wait_us = 0;  // time spent reading and parsing it
-};
-
-// Single-producer (parse stage), single-consumer (apply stage) ring over
-// kIngestRingBursts preallocated bursts. `published_` and `released_` are
-// free-running counters under mu_; their difference is the number of
-// bursts in flight. A stage sleeps on its condition variable only when
-// its side of the ring is full or empty (a notify with no sleeper makes
-// no system call), and the parse stage is woken once half the ring has
-// drained, not once per burst. Slot contents are written and read outside
-// mu_; the lock taken to publish or release a slot orders them.
-class IngestRing {
- public:
-  IngestRing(size_t batch, bool weighted) {
-    for (IngestBurst& burst : slots_) {
-      burst.ids.reserve(batch);
-      if (weighted) {
-        burst.weights.reserve(batch);
-      }
-    }
-  }
-
-  // Parse stage. A free slot to fill, or nullptr once the apply stage has
-  // closed the ring.
-  IngestBurst* AcquireFree() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (published_ - released_ == kIngestRingBursts) {
-      free_cv_.wait(lock, [&] { return closed_ || published_ - released_ <= kHalf; });
-    }
-    return closed_ ? nullptr : &slots_[published_ % kIngestRingBursts];
-  }
-
-  void Publish() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++published_;
-    }
-    full_cv_.notify_one();
-  }
-
-  // No more bursts (end of stream, source error, or stop).
-  void Finish() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      finished_ = true;
-    }
-    full_cv_.notify_one();
-  }
-
-  // Apply stage. The oldest unapplied burst, or nullptr once the parse
-  // stage has finished and every burst it published has been released.
-  const IngestBurst* AcquireFull() {
-    std::unique_lock<std::mutex> lock(mu_);
-    full_cv_.wait(lock, [&] { return published_ != released_ || finished_; });
-    return published_ == released_ ? nullptr : &slots_[released_ % kIngestRingBursts];
-  }
-
-  void Release() {
-    bool half_drained;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++released_;
-      half_drained = published_ - released_ <= kHalf;
-    }
-    if (half_drained) {
-      free_cv_.notify_one();
-    }
-  }
-
-  // The apply stage is leaving: wake the parse stage and refuse it slots.
-  void Close() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    free_cv_.notify_one();
-  }
-
- private:
-  static constexpr uint32_t kHalf = kIngestRingBursts / 2;
-
-  std::array<IngestBurst, kIngestRingBursts> slots_;
-  std::mutex mu_;
-  std::condition_variable free_cv_;  // the parse stage waits for a free slot
-  std::condition_variable full_cv_;  // the apply stage waits for a burst
-  uint32_t published_ = 0;
-  uint32_t released_ = 0;
-  bool finished_ = false;
-  bool closed_ = false;
 };
 
 bool ParseAttachArgs(const std::vector<std::string>& args, size_t first, SourceBinding* out,
@@ -408,7 +320,12 @@ void ServeCore::IngestLoop(Instance* inst) {
   }
   std::vector<PacketRecord> records(std::max<size_t>(options_.ingest_batch, 1));
   const bool weighted = inst->binding.byte_weighted;
-  IngestRing ring(records.size(), weighted);
+  BurstRing<IngestBurst> ring(kIngestSlots, kIngestSlots / 2, [&](IngestBurst& burst) {
+    burst.ids.reserve(records.size());
+    if (weighted) {
+      burst.weights.reserve(records.size());
+    }
+  });
   std::thread parse([&] { ParseLoop(inst, &reader, records, &ring); });
   while (!inst->stop_ingest.load(std::memory_order_acquire)) {
     const IngestBurst* burst = ring.AcquireFull();
@@ -457,7 +374,7 @@ void ServeCore::IngestLoop(Instance* inst) {
 }
 
 void ServeCore::ParseLoop(Instance* inst, PcapReader* reader, std::span<PacketRecord> records,
-                          IngestRing* ring) {
+                          BurstRing<IngestBurst>* ring) {
   // No telemetry calls here: a counter's first Add on a thread allocates
   // its cells. Each burst carries its figures to the apply stage instead.
   // Recovery: the checkpointed prefix is already in the sketch.

@@ -39,8 +39,9 @@
 // streaming pcap bytes; files are slurped unless larger-than-memory
 // streaming is forced with "stream:" prefix, pipes/sockets always stream.
 //
-// Ingest: each attached instance runs two threads joined by a fixed ring
-// of bursts (kIngestRingBursts in serve_core.cpp). This is the paper's
+// Ingest: each attached instance runs two threads joined by a BurstRing
+// (common/burst_ring.h) of kIngestSlots bursts (serve_core.cpp), the same
+// handoff threaded Sharded and the OVS pipelines use. This is the paper's
 // OVS split (Section VII): a datapath thread parses, and a user-space
 // thread updates the sketch.
 //   * The parse stage skips the recovery prefix, then fills bursts of
@@ -51,9 +52,8 @@
 //     the instance mutex, InsertBatch()es each one and advances the
 //     applied-offset pair. A parsed burst that is never applied is never
 //     counted, so checkpoints and recovery see only the applied prefix.
-// Neither stage spins: a stage sleeps on a condition variable only when
-// its side of the ring is full or empty (a notify with no sleeper makes no
-// system call), and the parse stage is woken once the ring is half
+// Neither stage spins: the ring puts a stage to sleep only when its side
+// is full or empty, and wakes the parse stage once the ring is half
 // drained rather than once per burst.
 // ingest_done is stored only after both stages have exited.
 //
@@ -108,8 +108,11 @@ struct ServeOptions {
   size_t ingest_batch = 512;    // records per ingest InsertBatch burst
 };
 
-// The burst ring between an instance's parse and apply stages.
-class IngestRing;
+// The burst ring between an instance's parse and apply stages
+// (common/burst_ring.h) and its slot type (serve_core.cpp).
+template <typename Slot>
+class BurstRing;
+struct IngestBurst;
 
 // A parsed ATTACH source binding.
 struct SourceBinding {
@@ -198,7 +201,7 @@ class ServeCore {
   // spawns over the reader and burst scratch it opened and allocated.
   void IngestLoop(Instance* inst);
   void ParseLoop(Instance* inst, PcapReader* reader, std::span<PacketRecord> records,
-                 IngestRing* ring);
+                 BurstRing<IngestBurst>* ring);
 
   std::string CmdCreate(const std::vector<std::string>& args);
   std::string CmdDrop(const std::vector<std::string>& args);

@@ -35,10 +35,11 @@ std::vector<FlowCount> MergeTopK(const std::vector<std::vector<FlowCount>>& per_
   }
   std::vector<FlowCount> merged;
   merged.reserve(total);
-  if (mode == MergeMode::kSumById) {
-    // Overlapping inputs (per-epoch reports of one stream): estimates for
-    // the same flow accumulate across lists before ranking. The sums live
-    // densely in `merged`; an open-addressing table of 1-based positions
+  if (mode != MergeMode::kDisjoint) {
+    // Overlapping inputs (per-epoch reports of one stream, or several
+    // views of the same traffic): estimates for the same flow combine
+    // across lists before ranking. The combined counts live densely in
+    // `merged`; an open-addressing table of 1-based positions
     // into it (0 = empty slot, so every id - 0 included - is a valid key)
     // finds a repeat in one probe run. At most `total` distinct ids, and
     // the capacity is at least twice that, so every probe run terminates.
@@ -54,8 +55,10 @@ std::vector<FlowCount> MergeTopK(const std::vector<std::vector<FlowCount>>& per_
         if (slots[i] == 0) {
           merged.push_back(fc);
           slots[i] = static_cast<uint32_t>(merged.size());
-        } else {
+        } else if (mode == MergeMode::kSumById) {
           merged[slots[i] - 1].count += fc.count;
+        } else {
+          merged[slots[i] - 1].count = std::max(merged[slots[i] - 1].count, fc.count);
         }
       }
     }

@@ -1,6 +1,6 @@
-// Merging per-shard / per-epoch top-k reports into one global top-k.
+// Merging per-shard / per-epoch / per-switch top-k reports into one global top-k.
 //
-// Two merge semantics live here, picked by MergeMode:
+// Three merge semantics live here, picked by MergeMode:
 //
 //   kDisjoint - the inputs partition the flow space, so every flow appears
 //     in at most one list and its merged estimate is that list's estimate,
@@ -20,7 +20,16 @@
 //     saw it or ranked it below the report cutoff), so merged estimates
 //     are lower bounds of a full-resolution sliding sketch. A duplicate id
 //     inside one list sums too. Callers: WindowedTopK::Snapshot/TopK
-//     (window/windowed_topk.h), which merges its ring of per-epoch reports.
+//     (window/windowed_topk.h), which merges its ring of per-epoch reports;
+//     a network collector summing switches that see disjoint traffic.
+//
+//   kMaxById - the inputs are overlapping views of the *same* traffic
+//     (every switch on a path, a mirrored tap), so a flow's best estimate
+//     is the MAXIMUM of its per-list estimates, HeavyKeeper's own
+//     multi-bucket query rule. Summing would count each packet once per
+//     view. No library or example code merges this way today; the
+//     collector tests (tests/core_collector_test.cpp) and ShardMergeTest
+//     are its callers.
 //
 // Relative to one sketch with the same *total* memory, a k-shard split
 // changes the error profile in two documented ways: each shard's arrays
@@ -41,6 +50,7 @@ namespace hk {
 enum class MergeMode {
   kDisjoint,  // inputs partition the key space; ids must not repeat
   kSumById,   // inputs may overlap; duplicate ids combine by summing
+  kMaxById,   // inputs may overlap; duplicate ids keep the largest estimate
 };
 
 // Merge the per-list reports, order by (estimate desc, id asc) - the
@@ -48,10 +58,11 @@ enum class MergeMode {
 // be sorted. The default mode keeps the historical disjoint-shard
 // semantics; see the mode contract above before switching.
 //
-// Cost: kSumById sums through one flat open-addressing table sized from
-// the total input length (>= 2x, power of two), so a repeat id costs one
-// short linear probe and no per-node allocation; fewer than 2^32 input
-// entries in all. Both modes then select the k best with nth_element and
+// Cost: kSumById and kMaxById combine through one flat open-addressing
+// table sized from the total input length (>= 2x, power of two), so a
+// repeat id costs one short linear probe and no per-node allocation; fewer
+// than 2^32 input entries in all. Every mode then selects the k best with
+// nth_element and
 // sort only those k. The order is total, so the result equals a full sort
 // truncated to k.
 std::vector<FlowCount> MergeTopK(const std::vector<std::vector<FlowCount>>& per_shard, size_t k,

@@ -1,6 +1,6 @@
 #include "shard/sharded_topk.h"
 
-#include <chrono>
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -14,17 +14,6 @@ namespace {
 // name()'s emit-only-non-default comparisons both read from here, so
 // changing a default in ShardedTopKOptions cannot desynchronize them.
 const ShardedTopKOptions kDefaultOptions{};
-
-// Producer and worker wait strategy: stay on the CPU briefly (a draining
-// worker usually frees a slot within a few yields), then sleep so an idle
-// or back-pressured thread does not starve whoever holds the work.
-inline void Backoff(size_t& spins) {
-  if (++spins < 64) {
-    std::this_thread::yield();
-  } else {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-}
 
 }  // namespace
 
@@ -77,69 +66,109 @@ void ShardedTopK::InitShards(std::vector<std::unique_ptr<TopKAlgorithm>> inners)
   if (options_.threaded && (options_.ring_capacity < 1 || options_.drain_burst < 1)) {
     throw std::invalid_argument("ShardedTopK: ring= and burst= must be >= 1");
   }
+  size_t slots = 0;
   if (options_.threaded) {
     tm_ring_highwater_ = telemetry::Registry::Get().GetGauge(
         "hk_ring_occupancy_highwater",
         "Deepest producer-observed queue depth of any single worker ring",
         "ring=\"sharded\"");
+    // ring= caps the packets in flight: at least two slots of burst=
+    // packets, each smaller when the ring cannot hold two full bursts.
+    slot_packets_ = std::min(options_.drain_burst, std::max<size_t>(options_.ring_capacity / 2, 1));
+    slots = std::max<size_t>(options_.ring_capacity / slot_packets_, 2);
   }
   shards_.reserve(inners.size());
   for (auto& inner : inners) {
     auto shard = std::make_unique<Shard>();
     shard->algo = std::move(inner);
     if (options_.threaded) {
-      shard->ring = std::make_unique<SpscRing<Packet>>(options_.ring_capacity);
+      // refill 1: InsertBatch returns, and a query interleaved with the
+      // inserts on this thread runs, one worker slot after the ring
+      // filled, not half a ring later.
+      shard->ring = std::make_unique<BurstRing<Burst>>(
+          slots, 1, [this](Burst& burst) { burst.ids.reserve(slot_packets_); });
+      shard->published_through.assign(slots + 1, 0);
     }
     shards_.push_back(std::move(shard));
   }
   if (options_.threaded) {
     workers_.reserve(shards_.size());
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      workers_.emplace_back([this, i] { WorkerLoop(i); });
+    for (const auto& shard : shards_) {
+      workers_.emplace_back([this, &shard = *shard] { WorkerLoop(shard); });
     }
   }
 }
 
 ShardedTopK::~ShardedTopK() {
-  if (options_.threaded) {
-    // Workers drain their rings before exiting, so packets enqueued right
-    // up to destruction are still applied (shutdown-while-draining).
-    stop_.store(true, std::memory_order_release);
-    for (auto& worker : workers_) {
-      worker.join();
+  // Workers drain their rings before exiting, so packets accepted right
+  // up to destruction are still applied (shutdown-while-draining).
+  for (const auto& shard : shards_) {
+    if (shard->ring != nullptr) {
+      PublishOpen(*shard);
+      shard->ring->Finish();
     }
+  }
+  for (auto& worker : workers_) {
+    worker.join();
   }
 }
 
-void ShardedTopK::Enqueue(FlowId id, uint64_t weight) {
-  PushRun(*shards_[partitioner_.ShardOf(id)], std::span<const FlowId>(&id, 1), &weight);
+void ShardedTopK::Append(FlowId id, const uint64_t* weight) {
+  Shard& shard = *shards_[partitioner_.ShardOf(id)];
+  if (shard.open == nullptr) {
+    shard.open = shard.ring->AcquireFree();  // sleeps while the ring is full
+    shard.open->ids.clear();
+    shard.open->weights.clear();
+  }
+  shard.open->ids.push_back(id);
+  // A slot left open by per-packet calls can mix unit and explicit
+  // weights: the first explicit one backfills the unit weights before it.
+  if (weight != nullptr || !shard.open->weights.empty()) {
+    shard.open->weights.resize(shard.open->ids.size() - 1, 1);
+    shard.open->weights.push_back(weight != nullptr ? *weight : 1);
+  }
+  if (shard.open->ids.size() == slot_packets_) {
+    Publish(shard);
+  }
 }
 
-void ShardedTopK::PushRun(Shard& shard, std::span<const FlowId> ids, const uint64_t* weights) {
-  // Count before pushing: the producer is the only thread that observes
-  // its own not-yet-pushed packets, so Flush() from the producer thread
-  // can never miss one.
-  const uint64_t depth =
-      shard.queued.fetch_add(ids.size(), std::memory_order_relaxed) + ids.size();
-  tm_ring_highwater_->MaxTo(static_cast<int64_t>(depth));
+void ShardedTopK::Scatter(std::span<const FlowId> ids, const uint64_t* weights) {
   for (size_t i = 0; i < ids.size(); ++i) {
-    const Packet packet{ids[i], weights != nullptr ? weights[i] : 1};
-    size_t spins = 0;  // per packet: a successful push resets the backoff
-    while (!shard.ring->TryPush(packet)) {
-      Backoff(spins);  // ring full: the shard back-pressures the producer
+    if (weights == nullptr) {
+      Append(ids[i], nullptr);
+    } else if (weights[i] != 0) {  // contract: weight 0 is a no-op
+      Append(ids[i], &weights[i]);
     }
+  }
+  // Nothing waits in the producer: a relaxed snapshot after this call
+  // sees every packet it was given.
+  for (const auto& shard : shards_) {
+    PublishOpen(*shard);
   }
 }
 
-void ShardedTopK::WorkerLoop(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  std::vector<FlowId> ids(options_.drain_burst);
-  std::vector<uint64_t> weights(options_.drain_burst);
-  size_t spins = 0;
+void ShardedTopK::PublishOpen(Shard& shard) const {
+  if (shard.open != nullptr) {
+    Publish(shard);
+  }
+}
+
+void ShardedTopK::Publish(Shard& shard) const {
+  std::vector<uint64_t>& through = shard.published_through;
+  const uint64_t total = through[shard.publishes % through.size()] + shard.open->ids.size();
+  shard.open = nullptr;
+  const size_t in_flight = shard.ring->Publish();
+  through[++shard.publishes % through.size()] = total;
+  const uint64_t depth = total - through[(shard.publishes - in_flight) % through.size()];
+  tm_ring_highwater_->MaxTo(static_cast<int64_t>(depth));
+}
+
+void ShardedTopK::WorkerLoop(Shard& shard) {
   uint32_t served = 0;
   for (;;) {
     // A pending relaxed snapshot is answered here, between bursts, so the
-    // querier never waits for the ring to drain.
+    // querier never waits for the ring to drain. The querier's Wake()
+    // brings an idle worker here too.
     const uint32_t request = shard.request_seq.load(std::memory_order_acquire);
     if (request != served) {
       shard.report = shard.algo->TopK(shard.request_k);
@@ -148,43 +177,34 @@ void ShardedTopK::WorkerLoop(size_t shard_index) {
       shard.report_seq.notify_one();  // no syscall unless the querier sleeps
       served = request;
     }
-    size_t n = 0;
-    bool unit_weights = true;
-    Packet packet;
-    while (n < options_.drain_burst && shard.ring->TryPop(&packet)) {
-      ids[n] = packet.id;
-      weights[n] = packet.weight;
-      unit_weights &= packet.weight == 1;
-      ++n;
-    }
-    if (n > 0) {
-      // Drain through the inner batch fast path; a run of unit weights
-      // takes the software-pipelined unweighted entry point.
-      if (unit_weights) {
-        shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n));
-      } else {
-        shard.algo->InsertBatch(std::span<const FlowId>(ids.data(), n),
-                                std::span<const uint64_t>(weights.data(), n));
+    const Burst* burst = shard.ring->AcquireFull();
+    if (burst == nullptr) {
+      if (shard.ring->Done()) {
+        return;
       }
-      shard.queued.fetch_sub(n, std::memory_order_release);
-      spins = 0;
-      continue;
+      continue;  // woken for a relaxed snapshot
     }
-    if (stop_.load(std::memory_order_acquire) && shard.ring->Empty()) {
-      break;
+    // A unit-weight slot takes the software-pipelined unweighted entry.
+    if (burst->weights.empty()) {
+      shard.algo->InsertBatch(burst->ids);
+    } else {
+      shard.algo->InsertBatch(burst->ids, burst->weights);
     }
-    Backoff(spins);
+    shard.ring->Release();
   }
 }
 
 void ShardedTopK::WaitIdle() const {
-  if (!options_.threaded) {
-    return;
+  // The producer's open slots hold packets accepted by Insert() and
+  // InsertWeighted(); a query must see them, so they go out first.
+  for (const auto& shard : shards_) {
+    if (shard->ring != nullptr) {
+      PublishOpen(*shard);
+    }
   }
   for (const auto& shard : shards_) {
-    size_t spins = 0;
-    while (shard->queued.load(std::memory_order_acquire) != 0) {
-      Backoff(spins);
+    if (shard->ring != nullptr) {
+      shard->ring->WaitDrained();
     }
   }
 }
@@ -193,30 +213,33 @@ void ShardedTopK::Flush() { WaitIdle(); }
 
 void ShardedTopK::Insert(FlowId id) {
   if (options_.threaded) {
-    Enqueue(id, 1);
+    Append(id, nullptr);  // the slot stays open for the next packet
     return;
   }
   shards_[partitioner_.ShardOf(id)]->algo->Insert(id);
 }
 
 void ShardedTopK::InsertWeighted(FlowId id, uint64_t weight) {
-  if (weight == 0) {
-    return;
-  }
   if (options_.threaded) {
-    Enqueue(id, weight);
+    if (weight != 0) {
+      Append(id, &weight);
+    }
     return;
   }
-  shards_[partitioner_.ShardOf(id)]->algo->InsertWeighted(id, weight);
+  if (weight != 0) {
+    shards_[partitioner_.ShardOf(id)]->algo->InsertWeighted(id, weight);
+  }
 }
 
 void ShardedTopK::InsertBatch(std::span<const FlowId> ids) {
+  if (options_.threaded) {
+    Scatter(ids, nullptr);
+    return;
+  }
   // Scatter into per-shard runs, preserving arrival order inside each
-  // shard. Synchronous mode applies each run through the inner batch fast
-  // path (final state matches per-packet routing exactly - the batch ==
-  // scalar contract - but hashing and prefetching amortize per shard);
-  // threaded mode publishes each run with a single queued-counter bump
-  // instead of one contended RMW per packet.
+  // shard, and apply each run through the inner batch fast path (final
+  // state matches per-packet routing exactly - the batch == scalar
+  // contract - but hashing and prefetching amortize per shard).
   for (const auto& shard : shards_) {
     shard->run_ids.clear();
   }
@@ -224,22 +247,17 @@ void ShardedTopK::InsertBatch(std::span<const FlowId> ids) {
     shards_[partitioner_.ShardOf(id)]->run_ids.push_back(id);
   }
   for (const auto& shard : shards_) {
-    if (shard->run_ids.empty()) {
-      continue;
-    }
-    if (!options_.threaded) {
+    if (!shard->run_ids.empty()) {
       shard->algo->InsertBatch(shard->run_ids);
-      continue;
     }
-    // Runs are delivered shard by shard, so a full ring briefly blocks
-    // delivery to later shards. Accepted trade-off: in steady state the
-    // aggregate rate is gated by the hottest shard's worker regardless,
-    // and per-shard FIFO delivery keeps the determinism argument simple.
-    PushRun(*shard, shard->run_ids, /*weights=*/nullptr);
   }
 }
 
 void ShardedTopK::InsertBatch(std::span<const FlowId> ids, std::span<const uint64_t> weights) {
+  if (options_.threaded) {
+    Scatter(ids, weights.data());
+    return;
+  }
   for (const auto& shard : shards_) {
     shard->run_ids.clear();
     shard->run_weights.clear();
@@ -253,14 +271,9 @@ void ShardedTopK::InsertBatch(std::span<const FlowId> ids, std::span<const uint6
     shard.run_weights.push_back(weights[i]);
   }
   for (const auto& shard : shards_) {
-    if (shard->run_ids.empty()) {
-      continue;
-    }
-    if (!options_.threaded) {
+    if (!shard->run_ids.empty()) {
       shard->algo->InsertBatch(shard->run_ids, shard->run_weights);
-      continue;
     }
-    PushRun(*shard, shard->run_ids, shard->run_weights.data());
   }
 }
 
@@ -304,11 +317,12 @@ size_t ShardedTopK::CollectRelaxedReports(size_t k,
   for (const auto& shard : shards_) {
     shard->request_k = k;
     shard->request_seq.store(seq, std::memory_order_release);
+    shard->ring->Wake();  // a worker asleep on an empty ring answers now
   }
   size_t memory_bytes = 0;
   for (const auto& shard : shards_) {
-    // Sleep on the slot until the worker answers: one burst, or one idle
-    // backoff sleep, per shard.
+    // Sleep on the slot until the worker answers: at most the burst it is
+    // applying.
     for (uint32_t seen; (seen = shard->report_seq.load(std::memory_order_acquire)) != seq;) {
       shard->report_seq.wait(seen, std::memory_order_acquire);
     }

@@ -13,10 +13,19 @@
 //     owning shard; batches are scattered into per-shard runs and applied
 //     through the inner InsertBatch fast path. No threads, no queues -
 //     bit-for-bit reproducible and safe anywhere a plain sketch is.
-//   * Threaded (threads=1): each shard gets an SPSC ring (ovs/spsc_ring.h)
-//     and a worker thread that drains it in bursts through InsertBatch.
-//     The caller's thread is the single producer; workers are the single
-//     consumers. A full ring back-pressures the producer.
+//   * Threaded (threads=1): each shard gets a burst ring
+//     (common/burst_ring.h) and a worker thread that applies it a slot at
+//     a time through InsertBatch. The caller's thread is the single
+//     producer: InsertBatch scatters each packet straight into its shard's
+//     open slot, publishes a slot once it holds burst= packets (fewer when
+//     ring= cannot hold two such slots), and publishes every partial slot
+//     before it returns. Insert()/InsertWeighted() leave their slot open
+//     for the next packet, so per-packet callers still hand the worker
+//     whole slots; a query, Flush() or destruction publishes it. Workers
+//     are the single consumers. A full ring puts the producer to sleep
+//     until its worker frees a slot (so one InsertBatch blocks for a few
+//     slots at most, and a query the producer interleaves waits no
+//     longer); an empty one puts its worker to sleep.
 //
 // Determinism: the partition depends only on the flow id, each ring is
 // FIFO, and the inner batch path is contractually identical to the scalar
@@ -36,17 +45,22 @@
 // Relaxed snapshots (threaded mode): Snapshot(kRelaxed) does not drain.
 // The querier posts a request to every shard; each worker answers at its
 // next burst boundary with its inner's TopK(k) and MemoryBytes(), and the
-// querier merges those reports. The wait is bounded by one drain burst or
-// one idle backoff sleep per shard, however deep the rings are. Each
-// shard's report reflects a prefix of that shard's stream; different
-// shards may reflect different prefixes. When nobody asks, the workers
-// pay one acquire load per burst.
+// querier merges those reports. The querier also wakes each ring, so a
+// worker asleep on an empty ring answers at once; a busy one answers after
+// the burst it is applying, however deep the rings are. Each shard's
+// report reflects a prefix of that shard's stream; different shards may
+// reflect different prefixes. Packets still in an open slot (the last
+// Insert()/InsertWeighted() calls, fewer than burst= per shard) are not in
+// that prefix until the producer next flushes, queries or calls
+// InsertBatch. When nobody asks, the workers pay one acquire load per
+// burst.
 //
 // Thread model (threaded mode): the insert API and Flush()/TopK()/
 // EstimateSize()/Snapshot(kExact) must be called from one thread at a time
 // (the producer); the N workers are internal. Cross-thread visibility is
-// established by the per-shard queued counters (release on the worker's
-// drain, acquire in WaitIdle), so post-Flush() queries read fully
+// established through each ring's mutex: a worker releases a slot under it
+// after applying the slot, and WaitIdle() waits under it until every
+// published slot is released, so post-Flush() queries read fully
 // published sketch state. Snapshot(kRelaxed) may be called from any thread
 // while the producer keeps inserting or querying; relaxed callers are
 // serialized among themselves. It must not overlap LoadState() or
@@ -64,7 +78,7 @@
 #include <thread>
 #include <vector>
 
-#include "ovs/spsc_ring.h"
+#include "common/burst_ring.h"
 #include "shard/partition.h"
 #include "sketch/registry.h"
 #include "sketch/topk_algorithm.h"
@@ -78,8 +92,12 @@ struct ShardedTopKOptions {
   // total budget's 1/num_shards slice and the caller's k/key/seed context.
   std::string inner_spec = "HK-Minimum";
   bool threaded = false;      // spin up one worker + ring per shard
-  size_t ring_capacity = 4096;  // per-shard ring slots (threaded mode)
-  size_t drain_burst = 256;     // packets per worker InsertBatch (threaded mode)
+  // Threaded mode: ring_capacity caps the packets in flight per shard. A
+  // ring slot (one worker InsertBatch) holds min(drain_burst,
+  // ring_capacity / 2) packets; a ring has ring_capacity / that slots, two
+  // at least.
+  size_t ring_capacity = 4096;
+  size_t drain_burst = 256;
 };
 
 class ShardedTopK : public TopKAlgorithm {
@@ -153,30 +171,33 @@ class ShardedTopK : public TopKAlgorithm {
   const TopKAlgorithm& shard(size_t i) const { return *shards_[i]->algo; }
 
  private:
-  struct Packet {
-    FlowId id = 0;
-    uint64_t weight = 0;
+  // One ring slot: a run of one shard's packets in arrival order.
+  struct Burst {
+    std::vector<FlowId> ids;
+    std::vector<uint64_t> weights;  // empty: unit weights
   };
 
   struct Shard {
     std::unique_ptr<TopKAlgorithm> algo;
-    std::unique_ptr<SpscRing<Packet>> ring;  // threaded mode only
-    // Producer-side scatter buffers (reused across batches). Declared
-    // before `queued` so their frequently-written vector headers stay off
-    // its cache line (the counter must not be false-shared).
+    std::unique_ptr<BurstRing<Burst>> ring;  // threaded mode only
+    // Synchronous mode's scatter buffers (reused across batches).
     std::vector<FlowId> run_ids;
     std::vector<uint64_t> run_weights;
-    // Packets enqueued but not yet applied by the worker. The worker's
-    // release-decrement after mutating `algo` pairs with acquire loads in
-    // WaitIdle() to publish sketch state to the querying thread.
-    // alignas: the counter owns its line alone.
-    alignas(64) std::atomic<uint64_t> queued{0};
+    // Threaded mode, producer only: the slot being filled (nullptr when
+    // none is open), and the packets published in all after each of the
+    // last ring's slots + 1 publishes, which turns Publish()'s slots in
+    // flight into packets in flight for the high-water gauge.
+    Burst* open = nullptr;
+    uint64_t publishes = 0;
+    std::vector<uint64_t> published_through;
 
     // Relaxed-snapshot handshake (threaded mode). The querier writes
-    // request_k, then release-stores request_seq; the worker reads
-    // request_k, fills the report fields, then release-stores report_seq =
-    // request_seq, after which the querier reads them. relaxed_mu_ keeps
-    // one request in flight, so the plain fields never race.
+    // request_k, release-stores request_seq and wakes the ring; the worker
+    // reads request_k, fills the report fields, then release-stores
+    // report_seq = request_seq, after which the querier reads them.
+    // relaxed_mu_ keeps one request in flight, so the plain fields never
+    // race. alignas: the worker polls request_seq once per burst, so it
+    // stays off the producer's lines.
     alignas(64) std::atomic<uint32_t> request_seq{0};
     size_t request_k = 0;
     std::vector<FlowCount> report;
@@ -184,12 +205,17 @@ class ShardedTopK : public TopKAlgorithm {
     std::atomic<uint32_t> report_seq{0};  // 32-bit: waited on as a futex
   };
 
-  void Enqueue(FlowId id, uint64_t weight);
-  // The count-before-push + backpressure protocol every threaded insert
-  // path funnels through (Flush()'s cannot-miss-packets invariant lives
-  // here and nowhere else). nullptr weights = unit weights.
-  void PushRun(Shard& shard, std::span<const FlowId> ids, const uint64_t* weights);
-  void WorkerLoop(size_t shard_index);
+  // The threaded insert path. Append routes one packet into its shard's
+  // open slot (nullptr weight = unit weight) and publishes the slot once
+  // full. Scatter appends a batch (weight 0 skipped, nullptr weights =
+  // unit weights), then publishes every partial slot. Publishing is
+  // producer-only; it is const so that the const queries, which the
+  // producer calls, can publish the open slots before they drain.
+  void Append(FlowId id, const uint64_t* weight);
+  void Scatter(std::span<const FlowId> ids, const uint64_t* weights);
+  void PublishOpen(Shard& shard) const;
+  void Publish(Shard& shard) const;
+  void WorkerLoop(Shard& shard);
   void WaitIdle() const;
   // Threaded kRelaxed: post (k, seq) to every shard, wait for each
   // worker's report, append the reports to `per_shard` in shard order and
@@ -201,12 +227,12 @@ class ShardedTopK : public TopKAlgorithm {
 
   ShardedTopKOptions options_;
   ShardPartitioner partitioner_;
-  // High-water mark of any single shard ring's queued depth (threaded mode;
-  // stays 0 in synchronous mode where nothing queues).
+  size_t slot_packets_ = 0;  // threaded mode: packets per ring slot
+  // High-water mark of any single shard ring's packets in flight (threaded
+  // mode; stays 0 in synchronous mode where nothing queues).
   telemetry::Gauge* tm_ring_highwater_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
-  std::atomic<bool> stop_{false};
   // Serializes relaxed queriers; guards relaxed_seq_.
   std::mutex relaxed_mu_;
   uint32_t relaxed_seq_ = 0;  // wraps harmlessly: the slots compare for equality

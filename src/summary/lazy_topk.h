@@ -174,6 +174,7 @@ class LazyTopKStore {
   // Slot pointer to the tracked count, or nullptr when untracked. Valid
   // until the next Insert/ReplaceMin (FlowSlotMap relocation rules).
   uint64_t* Find(FlowId id) { return values_.Find(id); }
+  const uint64_t* Find(FlowId id) const { return values_.Find(id); }
 
   // Raise through a Find() slot: compare-only unless the minimum itself
   // grows (then the next MinCount() re-syncs the heap top-down).

@@ -1,9 +1,11 @@
-#include "core/collector.h"
-
+// Network-wide collection: per-switch top-k reports combined into one by
+// MergeTopK (shard/merge.h) - kSumById for disjoint views, kMaxById for
+// overlapping ones.
 #include <gtest/gtest.h>
 
 #include "core/hk_topk.h"
 #include "metrics/accuracy.h"
+#include "shard/merge.h"
 #include "trace/generators.h"
 #include "trace/oracle.h"
 
@@ -15,7 +17,7 @@ TEST(CollectorTest, SumPolicyAddsDisjointViews) {
       {{1, 100}, {2, 50}},
       {{1, 40}, {3, 70}},
   };
-  const auto combined = CombineReports(reports, 3, CombinePolicy::kSum);
+  const auto combined = MergeTopK(reports, 3, MergeMode::kSumById);
   ASSERT_EQ(combined.size(), 3u);
   EXPECT_EQ(combined[0], (FlowCount{1, 140}));
   EXPECT_EQ(combined[1], (FlowCount{3, 70}));
@@ -27,7 +29,7 @@ TEST(CollectorTest, MaxPolicyKeepsBestEstimate) {
       {{1, 100}, {2, 50}},
       {{1, 90}, {2, 80}},
   };
-  const auto combined = CombineReports(reports, 2, CombinePolicy::kMax);
+  const auto combined = MergeTopK(reports, 2, MergeMode::kMaxById);
   ASSERT_EQ(combined.size(), 2u);
   EXPECT_EQ(combined[0], (FlowCount{1, 100}));
   EXPECT_EQ(combined[1], (FlowCount{2, 80}));
@@ -35,13 +37,13 @@ TEST(CollectorTest, MaxPolicyKeepsBestEstimate) {
 
 TEST(CollectorTest, TruncatesToK) {
   const std::vector<std::vector<FlowCount>> reports = {{{1, 3}, {2, 2}, {3, 1}}};
-  EXPECT_EQ(CombineReports(reports, 2, CombinePolicy::kSum).size(), 2u);
-  EXPECT_TRUE(CombineReports({}, 5, CombinePolicy::kSum).empty());
+  EXPECT_EQ(MergeTopK(reports, 2, MergeMode::kSumById).size(), 2u);
+  EXPECT_TRUE(MergeTopK({}, 5, MergeMode::kSumById).empty());
 }
 
 TEST(CollectorTest, TieBrokenById) {
   const std::vector<std::vector<FlowCount>> reports = {{{9, 5}, {3, 5}, {7, 5}}};
-  const auto combined = CombineReports(reports, 3, CombinePolicy::kMax);
+  const auto combined = MergeTopK(reports, 3, MergeMode::kMaxById);
   EXPECT_EQ(combined[0].id, 3u);
   EXPECT_EQ(combined[1].id, 7u);
   EXPECT_EQ(combined[2].id, 9u);
@@ -70,7 +72,7 @@ TEST(CollectorTest, NetworkWideTopKFromShardedTraffic) {
   for (const auto& sw : switches) {
     reports.push_back(sw->TopK(2 * kK));
   }
-  const auto combined = CombineReports(reports, kK, CombinePolicy::kSum);
+  const auto combined = MergeTopK(reports, kK, MergeMode::kSumById);
   const auto accuracy = EvaluateTopK(combined, oracle, kK);
   EXPECT_GE(accuracy.precision, 0.9);
   EXPECT_LE(accuracy.are, 0.05);
@@ -91,7 +93,7 @@ TEST(CollectorTest, MirroredViewsUseMax) {
     }
     reports.push_back(sw->TopK(kK));
   }
-  const auto combined = CombineReports(reports, kK, CombinePolicy::kMax);
+  const auto combined = MergeTopK(reports, kK, MergeMode::kMaxById);
   const auto accuracy = EvaluateTopK(combined, oracle, kK);
   EXPECT_GE(accuracy.precision, 0.9);
   // No over-estimation: max of two no-overestimate views stays below truth.

@@ -1,76 +1,240 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/burst_ring.h"
 #include "ovs/datapath.h"
 #include "ovs/pipeline.h"
-#include "ovs/spsc_ring.h"
 #include "sketch/registry.h"
 #include "sketch/space_saving.h"
+#include "sketch/topk_algorithm.h"
 
 namespace hk {
 namespace {
 
-TEST(SpscRingTest, FifoOrderSingleThreaded) {
-  SpscRing<int> ring(8);
-  const int cap = static_cast<int>(ring.capacity());
-  for (int i = 0; i < cap; ++i) {
-    EXPECT_TRUE(ring.TryPush(i));
+using namespace std::chrono_literals;
+
+// Polls `flag` until it reads true or `limit` passes.
+bool BecomesTrue(const std::atomic<bool>& flag, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(1ms);
   }
-  EXPECT_FALSE(ring.TryPush(99));  // full
-  for (int i = 0; i < cap; ++i) {
-    int v = -1;
-    EXPECT_TRUE(ring.TryPop(&v));
-    EXPECT_EQ(v, i);
-  }
-  int v;
-  EXPECT_FALSE(ring.TryPop(&v));  // empty
+  return true;
 }
 
-TEST(SpscRingTest, CapacityRoundedToPowerOfTwoMinusOne) {
-  SpscRing<int> ring(5);
-  EXPECT_GE(ring.capacity(), 5u);
-  size_t pushed = 0;
-  while (ring.TryPush(1)) {
-    ++pushed;
+TEST(BurstRingTest, FifoOrderAcrossWrapAround) {
+  BurstRing<int> ring(4, 2);
+  EXPECT_THROW(BurstRing<int>(1, 1), std::invalid_argument);
+  EXPECT_THROW(BurstRing<int>(4, 0), std::invalid_argument);
+  EXPECT_THROW(BurstRing<int>(4, 5), std::invalid_argument);
+  int next_in = 0;
+  int next_out = 0;
+  // Uneven fill/drain rounds walk the counters around the slots many times.
+  for (int round = 0; round < 50; ++round) {
+    const int fill = 1 + round % 4;
+    for (int i = 0; i < fill; ++i) {
+      int* slot = ring.AcquireFree();
+      ASSERT_NE(slot, nullptr);
+      *slot = next_in++;
+      EXPECT_EQ(ring.Publish(), static_cast<size_t>(i + 1));
+    }
+    for (int i = 0; i < fill; ++i) {
+      const int* slot = ring.AcquireFull();
+      ASSERT_NE(slot, nullptr);
+      EXPECT_EQ(*slot, next_out++);
+      ring.Release();
+    }
   }
-  EXPECT_EQ(pushed, ring.capacity());
+  EXPECT_EQ(next_out, next_in);
 }
 
-TEST(SpscRingTest, ConcurrentStressPreservesEverything) {
-  SpscRing<uint64_t> ring(1024);
-  constexpr uint64_t kN = 2'000'000;
-  std::atomic<bool> done{false};
-  uint64_t sum = 0;
-  uint64_t received = 0;
-  uint64_t expected_next = 1;
-  bool order_ok = true;
+TEST(BurstRingTest, FullProducerSleepsUntilRefilled) {
+  // refill 2 of 4 (half drained), then refill 1 (the first free slot).
+  for (const size_t refill : {size_t{2}, size_t{1}}) {
+    BurstRing<int> ring(4, refill);
+    for (int i = 0; i < 4; ++i) {
+      *ring.AcquireFree() = i;
+      ring.Publish();
+    }
+    std::atomic<bool> acquired{false};
+    std::thread producer([&] {
+      int* slot = ring.AcquireFree();  // full: sleeps
+      EXPECT_NE(slot, nullptr);
+      acquired.store(true, std::memory_order_release);
+    });
+    EXPECT_FALSE(BecomesTrue(acquired, 50ms)) << "a full ring handed out a slot";
+    for (size_t freed = 1; freed < refill; ++freed) {
+      ring.AcquireFull();
+      ring.Release();
+      EXPECT_FALSE(BecomesTrue(acquired, 50ms)) << "woke at " << freed << " free of " << refill;
+    }
+    ring.AcquireFull();
+    ring.Release();
+    EXPECT_TRUE(BecomesTrue(acquired, 10s)) << "slept through the wake at " << refill << " free";
+    producer.join();
+  }
+}
 
+TEST(BurstRingTest, ReleaseWakesAFullProducerAndADrainWaiterAlike) {
+  // Both sleep on the free side at once; each Release must reach the one
+  // it concerns, whichever the scheduler queued first.
+  BurstRing<int> ring(2, 1);
+  for (int i = 0; i < 2; ++i) {
+    ring.AcquireFree();
+    ring.Publish();
+  }
+  std::atomic<bool> drained{false};
+  std::atomic<bool> acquired{false};
+  std::thread drain_waiter([&] {
+    ring.WaitDrained();
+    drained.store(true, std::memory_order_release);
+  });
+  std::thread producer([&] {
+    EXPECT_NE(ring.AcquireFree(), nullptr);
+    acquired.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(20ms);  // let both fall asleep
+  ring.AcquireFull();
+  ring.Release();
+  EXPECT_TRUE(BecomesTrue(acquired, 10s)) << "the free slot's wake went to the drain waiter";
+  EXPECT_FALSE(drained.load(std::memory_order_acquire));
+  ring.AcquireFull();
+  ring.Release();
+  EXPECT_TRUE(BecomesTrue(drained, 10s));
+  ring.Close();  // a sleeper a lost wake left behind still gets to exit
+  producer.join();
+  drain_waiter.join();
+}
+
+TEST(BurstRingTest, CloseWakesABlockedProducer) {
+  BurstRing<int> ring(2, 1);
+  for (int i = 0; i < 2; ++i) {
+    ring.AcquireFree();
+    ring.Publish();
+  }
+  std::atomic<bool> returned{false};
+  std::thread producer([&] {
+    EXPECT_EQ(ring.AcquireFree(), nullptr);  // woken by Close, refused a slot
+    returned.store(true, std::memory_order_release);
+  });
+  EXPECT_FALSE(BecomesTrue(returned, 20ms));
+  ring.Close();
+  EXPECT_TRUE(BecomesTrue(returned, 10s));
+  producer.join();
+  EXPECT_EQ(ring.AcquireFree(), nullptr);
+}
+
+TEST(BurstRingTest, FinishDrainsThenReturnsNull) {
+  BurstRing<int> ring(4, 2);
+  for (int i = 0; i < 3; ++i) {
+    *ring.AcquireFree() = 10 + i;
+    ring.Publish();
+  }
+  ring.Finish();
+  // Finish ends the stream, not the queue: every published slot comes out.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(ring.Done());
+    const int* slot = ring.AcquireFull();
+    ASSERT_NE(slot, nullptr);
+    EXPECT_EQ(*slot, 10 + i);
+    ring.Release();
+  }
+  EXPECT_TRUE(ring.Done());
+  EXPECT_EQ(ring.AcquireFull(), nullptr);
+  EXPECT_EQ(ring.AcquireFull(), nullptr);  // for good, without blocking
+
+  // A consumer already asleep on the empty ring is woken by Finish.
+  BurstRing<int> idle(2, 1);
+  std::thread consumer([&] { EXPECT_EQ(idle.AcquireFull(), nullptr); });
+  std::this_thread::sleep_for(10ms);
+  idle.Finish();
+  consumer.join();
+  EXPECT_TRUE(idle.Done());
+}
+
+TEST(BurstRingTest, WaitDrainedSeesTheConsumersWork) {
+  BurstRing<uint64_t> ring(4, 2);
+  ring.WaitDrained();  // nothing published: returns at once
+  uint64_t applied = 0;  // written by the consumer, read after WaitDrained
   std::thread consumer([&] {
-    uint64_t v;
-    while (true) {
-      if (ring.TryPop(&v)) {
-        if (v != expected_next) {
-          order_ok = false;
-        }
-        ++expected_next;
-        sum += v;
-        ++received;
-      } else if (done.load(std::memory_order_acquire) && ring.Empty()) {
-        break;
-      }
+    while (const uint64_t* slot = ring.AcquireFull()) {
+      std::this_thread::sleep_for(2ms);  // a slow consumer
+      applied += *slot;
+      ring.Release();
     }
   });
-
-  for (uint64_t i = 1; i <= kN; ++i) {
-    while (!ring.TryPush(i)) {
-    }
+  for (uint64_t i = 1; i <= 10; ++i) {
+    *ring.AcquireFree() = i;
+    ring.Publish();
   }
-  done.store(true, std::memory_order_release);
+  ring.WaitDrained();
+  EXPECT_EQ(applied, 55u);
+  ring.Finish();
   consumer.join();
+}
 
+TEST(BurstRingTest, WakeReturnsAnIdleConsumerWithoutASlot) {
+  BurstRing<int> ring(2, 1);
+  std::atomic<bool> returned{false};
+  std::thread consumer([&] {
+    EXPECT_EQ(ring.AcquireFull(), nullptr);
+    EXPECT_FALSE(ring.Done());
+    returned.store(true, std::memory_order_release);
+  });
+  EXPECT_FALSE(BecomesTrue(returned, 20ms)) << "an empty ring returned without a wake";
+  ring.Wake();
+  EXPECT_TRUE(BecomesTrue(returned, 10s));
+  consumer.join();
+  // A wake posted before the wait is not lost, and a waiting slot wins.
+  ring.Wake();
+  EXPECT_EQ(ring.AcquireFull(), nullptr);
+  *ring.AcquireFree() = 5;
+  ring.Publish();
+  ring.Wake();
+  const int* slot = ring.AcquireFull();
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(*slot, 5);
+  ring.Release();
+}
+
+TEST(BurstRingTest, TwoThreadStressPreservesEverything) {
+  // 2M items in bursts of 1..97 over a 4-slot ring, so both sides sleep
+  // and wake often. The consumer checks order and totals.
+  constexpr uint64_t kN = 2'000'000;
+  BurstRing<std::vector<uint64_t>> ring(4, 2);
+  uint64_t received = 0;
+  uint64_t sum = 0;
+  bool order_ok = true;
+  std::thread consumer([&] {
+    uint64_t expected_next = 1;
+    while (const std::vector<uint64_t>* burst = ring.AcquireFull()) {
+      for (const uint64_t v : *burst) {
+        order_ok &= v == expected_next++;
+        sum += v;
+      }
+      received += burst->size();
+      ring.Release();
+    }
+  });
+  uint64_t next = 1;
+  for (uint64_t burst = 0; next <= kN; ++burst) {
+    std::vector<uint64_t>* slot = ring.AcquireFree();
+    slot->clear();
+    for (uint64_t i = 0; i < 1 + burst % 97 && next <= kN; ++i) {
+      slot->push_back(next++);
+    }
+    ring.Publish();
+  }
+  ring.Finish();
+  consumer.join();
   EXPECT_EQ(received, kN);
   EXPECT_TRUE(order_ok);
   EXPECT_EQ(sum, kN * (kN + 1) / 2);
@@ -122,6 +286,37 @@ TEST(PipelineTest, AllPacketsFlowThrough) {
   EXPECT_LE(result.pipelines, 2u);
   EXPECT_EQ(result.packets, result.pipelines * 20000);
   EXPECT_GT(result.mps, 0.0);
+}
+
+// Counts the packets a pipeline's consumer applies to it.
+class CountingAlgorithm : public TopKAlgorithm {
+ public:
+  void Insert(FlowId) override { ++applied_; }
+  std::vector<FlowCount> TopK(size_t) const override { return {}; }
+  uint64_t EstimateSize(FlowId) const override { return 0; }
+  std::string name() const override { return "counting-test-double"; }
+  size_t MemoryBytes() const override { return sizeof(*this); }
+  uint64_t applied() const { return applied_; }
+
+ private:
+  uint64_t applied_ = 0;
+};
+
+TEST(PipelineTest, EveryPipelineAppliesEveryPacket) {
+  // 1000 packets is not a multiple of the 256-id burst, so the last slot
+  // of every pipeline is a partial one.
+  const auto packets = MakeWirePackets(1000, 100, 1.0, 5);
+  PipelineConfig config;
+  config.num_pipelines = 4;
+  config.ring_capacity = 512;  // two slots: the datapath often waits
+  std::vector<CountingAlgorithm> counters(config.num_pipelines);
+  const auto result = RunPipelines(packets, [&](size_t i) { return &counters[i]; }, config);
+  ASSERT_EQ(result.applied.size(), result.pipelines);
+  for (size_t i = 0; i < result.pipelines; ++i) {
+    EXPECT_EQ(result.applied[i], packets.size()) << "pipeline " << i;
+    EXPECT_EQ(counters[i].applied(), packets.size()) << "pipeline " << i;
+  }
+  EXPECT_EQ(result.packets, result.pipelines * packets.size());
 }
 
 TEST(PipelineTest, AlgorithmConsumerSeesEveryPacket) {

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -103,16 +105,17 @@ bool ReportOrder(const FlowCount& a, const FlowCount& b) {
   return a.count != b.count ? a.count > b.count : a.id < b.id;
 }
 
-// The obvious merge: a std::map of sums (kSumById) or plain concatenation
-// (kDisjoint), then a full sort and truncation to k.
+// The obvious merge: a std::map of sums (kSumById) or maxima (kMaxById),
+// or plain concatenation (kDisjoint), then a full sort and truncation to k.
 std::vector<FlowCount> ReferenceMerge(const std::vector<std::vector<FlowCount>>& lists, size_t k,
                                       MergeMode mode) {
   std::vector<FlowCount> all;
-  if (mode == MergeMode::kSumById) {
+  if (mode != MergeMode::kDisjoint) {
     std::map<FlowId, uint64_t> sums;
     for (const auto& list : lists) {
       for (const FlowCount& fc : list) {
-        sums[fc.id] += fc.count;
+        uint64_t& combined = sums[fc.id];
+        combined = mode == MergeMode::kSumById ? combined + fc.count : std::max(combined, fc.count);
       }
     }
     for (const auto& [id, count] : sums) {
@@ -155,15 +158,25 @@ TEST(ShardMergeTest, SumByIdMatchesMapReference) {
   EXPECT_EQ(MergeTopK({{{9, 1}, {2, 1}}, {{5, 1}, {0, 1}}}, 3, MergeMode::kSumById),
             (std::vector<FlowCount>{{0, 1}, {2, 1}, {5, 1}}));
 
+  // kMaxById on the same shapes: the largest estimate wins, within a list
+  // and across lists, and a tie of maxima falls back to id order.
+  EXPECT_EQ(MergeTopK({{{0, 5}, {3, 5}}, {{0, 1}}}, 5, MergeMode::kMaxById),
+            (std::vector<FlowCount>{{0, 5}, {3, 5}}));
+  EXPECT_EQ(MergeTopK({{{4, 2}, {4, 3}, {1, 4}}}, 5, MergeMode::kMaxById),
+            (std::vector<FlowCount>{{1, 4}, {4, 3}}));
+  EXPECT_EQ(MergeTopK({{{9, 7}, {2, 1}}, {{9, 3}, {2, 6}}}, 1, MergeMode::kMaxById),
+            (std::vector<FlowCount>{{9, 7}}));
+
   SplitMix64 rng(77);
   for (int trial = 0; trial < 300; ++trial) {
     const auto lists = RandomLists(rng, trial % 4 == 0);
     const size_t distinct = ReferenceMerge(lists, SIZE_MAX, MergeMode::kSumById).size();
     for (const size_t k : {size_t{0}, size_t{1}, size_t{7}, distinct / 2, distinct,
                            distinct + 5}) {
-      EXPECT_EQ(MergeTopK(lists, k, MergeMode::kSumById),
-                ReferenceMerge(lists, k, MergeMode::kSumById))
-          << "trial " << trial << " k=" << k;
+      for (const MergeMode mode : {MergeMode::kSumById, MergeMode::kMaxById}) {
+        EXPECT_EQ(MergeTopK(lists, k, mode), ReferenceMerge(lists, k, mode))
+            << "trial " << trial << " k=" << k << " max=" << (mode == MergeMode::kMaxById);
+      }
     }
   }
 }
@@ -338,6 +351,49 @@ TEST(ShardedStressTest, WeightedStreamThreadedMatchesSynchronous) {
   threaded->InsertBatch(ids, weights);
   threaded->Flush();
   EXPECT_EQ(sync->TopK(50), threaded->TopK(50));
+}
+
+TEST(ShardedStressTest, PerPacketCallsMixedWithBatchesMatchSynchronous) {
+  // Insert()/InsertWeighted() leave their shard's slot open for the next
+  // call, so one slot can collect unit and explicit weights from per-packet
+  // calls before a batch or a query publishes it.
+  const auto ids = ZipfPackets(30'000, 37);
+  auto sync = MakeSketch("Sharded:n=4,inner=HK-Minimum:cb=32", TestDefaults());
+  auto threaded =
+      MakeSketch("Sharded:n=4,threads=1,ring=256,burst=64,inner=HK-Minimum:cb=32", TestDefaults());
+  Rng rng(41);
+  for (size_t pos = 0; pos < ids.size();) {
+    const uint64_t mode = rng.NextBounded(4);
+    const size_t n = std::min<size_t>(1 + rng.NextBounded(300), ids.size() - pos);
+    const std::span<const FlowId> run(ids.data() + pos, n);
+    std::vector<uint64_t> weights;
+    for (size_t i = 0; i < n; ++i) {
+      weights.push_back((pos + i) % 3);  // 0 exercises weight-0 skipping
+    }
+    for (TopKAlgorithm* algo : {sync.get(), threaded.get()}) {
+      for (size_t i = 0; i < n; ++i) {
+        if (mode == 0) {
+          algo->Insert(run[i]);
+        } else if (mode == 1) {
+          algo->InsertWeighted(run[i], weights[i]);
+        }
+      }
+      if (mode == 2) {
+        algo->InsertBatch(run);
+      } else if (mode == 3) {
+        algo->InsertBatch(run, weights);
+      }
+    }
+    pos += n;
+  }
+  // No Flush(): a query publishes the open slots before it drains.
+  EXPECT_EQ(threaded->EstimateSize(ids[0]), sync->EstimateSize(ids[0]));
+  EXPECT_EQ(sync->TopK(50), threaded->TopK(50));
+  std::vector<uint8_t> sync_state;
+  std::vector<uint8_t> threaded_state;
+  ASSERT_TRUE(sync->SaveState(&sync_state));
+  ASSERT_TRUE(threaded->SaveState(&threaded_state));
+  EXPECT_EQ(sync_state, threaded_state);
 }
 
 // A test double that counts applied packets into caller-owned storage, so
@@ -518,6 +574,28 @@ TEST(ShardRelaxedSnapshotTest, SnapshotDuringInsertionNeverExceedsTruth) {
   }
   EXPECT_EQ(algo->Snapshot({.k = kK, .consistency = ConsistencyLevel::kRelaxed}).flows,
             exact.flows);
+}
+
+TEST(ShardRelaxedSnapshotTest, IdleWorkersSleepUntilARelaxedSnapshotWakesThem) {
+  using namespace std::chrono_literals;
+  auto algo = MakeSketch("Sharded:n=4,threads=1,inner=HK-Minimum", TestDefaults());
+  algo->InsertBatch(ZipfPackets(20'000, 23));
+  algo->Flush();
+  // Idle far longer than any backoff sleep a polling worker would take:
+  // workers parked on their empty rings use no CPU meanwhile.
+  const std::clock_t cpu0 = std::clock();
+  std::this_thread::sleep_for(200ms);
+  const double idle_cpu_ms = 1000.0 * static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+  EXPECT_LT(idle_cpu_ms, 5.0) << "4 idle workers burnt CPU in 200 ms: they poll";
+  // A relaxed snapshot reaches the sleeping workers through the ring's
+  // wake; it must answer within the deadline, not hang or time out.
+  std::future<QueryResult> answer = std::async(std::launch::async, [&] {
+    return algo->Snapshot({.k = 30, .consistency = ConsistencyLevel::kRelaxed});
+  });
+  ASSERT_EQ(answer.wait_for(10s), std::future_status::ready) << "idle workers never answered";
+  const QueryResult relaxed = answer.get();
+  EXPECT_EQ(relaxed.consistency, ConsistencyLevel::kRelaxed);
+  EXPECT_EQ(relaxed.flows, algo->TopK(30));
 }
 
 // Exact per-flow counts, applied slowly: each InsertBatch sleeps first, so
